@@ -14,7 +14,6 @@ from .arith import (
     Place,
     ShaResult,
     check_axioms,
-    inv_eval,
     search_inv_assignments,
     sha,
 )

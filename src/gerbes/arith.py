@@ -102,9 +102,6 @@ class ArithmeticModel:
             total = total + val.scaled(int(c))
         return total
 
-    def restrict_to_place(self, z: Cochain, place: Place) -> Cochain:
-        return restriction(z, place.subgroup)
-
     def __repr__(self) -> str:
         return f"ArithmeticModel({self.group!r}, mu=Z/{self.modulus}, {len(self.places)} places)"
 
@@ -161,11 +158,6 @@ class AxiomReport:
         return "; ".join(parts)
 
 
-def inv_eval(model: ArithmeticModel, place: Place, z: Cochain) -> QmodZ:
-    """Local invariant of a 2-cocycle at a place (see ArithmeticModel.inv_eval)."""
-    return model.inv_eval(place, z)
-
-
 def check_axioms(model: ArithmeticModel) -> AxiomReport:
     """Evaluate A1, A2, A3; failures become report entries, not exceptions."""
     a1 = []
@@ -179,7 +171,7 @@ def check_axioms(model: ArithmeticModel) -> AxiomReport:
         contributions = []
         total = QmodZ.zero()
         for p in model.places:
-            res = model.restrict_to_place(rep, p)
+            res = restriction(rep, p.subgroup)
             val = model.inv_eval(p, res)
             contributions.append((p.name, val))
             total = total + val

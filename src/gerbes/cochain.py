@@ -30,7 +30,7 @@ from .errors import (
     NotACocycle,
     SizeBound,
 )
-from .groups import Subgroup
+from .groups import Subgroup, memo
 from .linalg import Congruence, kernel_mod, snf, solve_mod
 from .modules import GModule, Pairing, restrict_module
 
@@ -135,7 +135,7 @@ class Cochain:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.module), self.degree, self.values))
+        return hash((self.module, self.degree, self.values))
 
     def __repr__(self) -> str:
         return f"Cochain(deg={self.degree}, {self.module!r})"
@@ -171,12 +171,6 @@ def _rank_of_digits(dig: np.ndarray, q: int) -> np.ndarray:
 
 
 def _diff_plan(module: GModule, degree: int) -> _DiffPlan:
-    cache = getattr(module, "_diff_plans", None)
-    if cache is None:
-        cache = {}
-        module._diff_plans = cache  # type: ignore[attr-defined]
-    if degree in cache:
-        return cache[degree]
     q = module.group.order - 1
     n = degree
     out_slots = q ** (n + 1)
@@ -200,9 +194,7 @@ def _diff_plan(module: GModule, degree: int) -> _DiffPlan:
     last_idx = (
         _rank_of_digits(dig[:, :n], q) if n else np.zeros(out_slots, dtype=np.int64)
     )
-    plan = _DiffPlan(n, out_slots, in_slots, tuple(middle), (-1) ** (n + 1), last_idx)
-    cache[degree] = plan
-    return plan
+    return _DiffPlan(n, out_slots, in_slots, tuple(middle), (-1) ** (n + 1), last_idx)
 
 
 def _differential_array(c: Cochain) -> np.ndarray:
@@ -211,7 +203,7 @@ def _differential_array(c: Cochain) -> np.ndarray:
     n = c.degree
     q = module.group.order - 1
     k = module.rank
-    plan = _diff_plan(module, n)
+    plan = memo(module, n, _diff_plan, module, n)
     if q == 0 or k == 0:
         return np.zeros((plan.out_slots, k), dtype=np.int64)
     vals = c.as_array()
@@ -228,10 +220,8 @@ def _differential_array(c: Cochain) -> np.ndarray:
     return np.mod(out, factors)
 
 
-def differential(c: Cochain, *, _internal: bool = False) -> Cochain:
-    """The bar differential; public use is capped at input degree 2."""
-    if c.degree > 2 and not _internal:
-        raise DegreeTooHigh("public differentials stop at degree-2 inputs")
+def differential(c: Cochain) -> Cochain:
+    """The bar differential, for input degrees 0..2."""
     if c.degree >= MAX_DEGREE:
         raise DegreeTooHigh("differential of a degree-3 cochain leaves the supported range")
     out = _differential_array(c)
@@ -239,9 +229,9 @@ def differential(c: Cochain, *, _internal: bool = False) -> Cochain:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """d c == 0, usable through degree 3 (degree-3 check stays internal)."""
+    """d c == 0 through degree 3, where the raw differential array is checked."""
     if c.degree < MAX_DEGREE:
-        return differential(c, _internal=True).is_zero()
+        return differential(c).is_zero()
     return not _differential_array(c).any()
 
 
@@ -306,7 +296,7 @@ def _differential_matrix(module: GModule, degree: int) -> np.ndarray:
     mat = np.zeros((out_dim, in_dim), dtype=np.int64)
     if in_dim == 0 or out_dim == 0:
         return mat
-    plan = _diff_plan(module, degree)
+    plan = memo(module, degree, _diff_plan, module, degree)
     block = plan.in_slots
     for g in range(1, q + 1):
         p = np.asarray(module.matrix(g), dtype=np.int64)
@@ -440,14 +430,14 @@ class CohomologyGroup:
 
 
 def cohomology(module: GModule, degree: int, max_order: int = DEFAULT_GROUP_BOUND) -> CohomologyGroup:
-    """H^degree(G, M) for degree <= 2, cached on the module."""
-    cache = getattr(module, "_cohomology_cache", None)
-    if cache is None:
-        cache = {}
-        module._cohomology_cache = cache  # type: ignore[attr-defined]
-    if degree not in cache:
-        cache[degree] = CohomologyGroup(module, degree, max_order=max_order)
-    return cache[degree]
+    """H^degree(G, M) for degree <= 2, cached on the module by degree.
+
+    The bound is checked on every call, so a cached group is never
+    returned past a smaller ``max_order``.
+    """
+    if module.group.order > max_order:
+        raise SizeBound(f"group order {module.group.order} exceeds the cohomology bound {max_order}")
+    return memo(module, degree, CohomologyGroup, module, degree, max_order)
 
 
 def solve_coboundary(y: Cochain, max_order: int = DEFAULT_GROUP_BOUND) -> CoboundaryResult:
@@ -483,7 +473,7 @@ def solve_coboundary(y: Cochain, max_order: int = DEFAULT_GROUP_BOUND) -> Coboun
         return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
     vals = [tuple(x[s * k : (s + 1) * k]) for s in range(q ** (n - 1))]
     c = Cochain(module, n - 1, vals)
-    if differential(c, _internal=True) != y:
+    if differential(c) != y:
         raise GerbesError("coboundary solver produced an invalid primitive")
     return CoboundaryResult(c, None)
 

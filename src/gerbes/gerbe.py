@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .arith import ArithmeticModel, Place, ShaResult, require_axioms, sha
+import numpy as np
+
+from .arith import ArithmeticModel, Place, ShaResult, check_axioms, require_axioms, sha
 from .cochain import (
     Cochain,
     CohomologyGroup,
@@ -46,12 +48,17 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    abelian_table_group,
     commutator_subgroup,
+    memo,
     quotient_group,
+    spanning_tree,
 )
+from .linalg import solve_mod
 from .modules import (
     DualData,
     GModule,
+    cyclic_module,
     dual_module,
     evaluation_pairing,
     flipped_evaluation_pairing,
@@ -85,6 +92,7 @@ class GerbeExtension:
         for a in range(self.total.order):
             fibers[proj(a)].append(a)
         self._fibers = tuple(tuple(sorted(f)) for f in fibers)
+        self._memo: dict = {}
 
     def fiber(self, g: int) -> tuple[int, ...]:
         return self._fibers[g]
@@ -188,12 +196,7 @@ class AbelianizedGerbe:
 
 
 def abelianized_data(ext: GerbeExtension) -> AbelianizedGerbe:
-    cached = getattr(ext, "_ab_data", None)
-    if cached is not None:
-        return cached
-    data = _abelianized_data(ext)
-    ext._ab_data = data  # type: ignore[attr-defined]
-    return data
+    return memo(ext, None, _abelianized_data, ext)
 
 
 def _abelianized_data(ext: GerbeExtension) -> AbelianizedGerbe:
@@ -236,8 +239,6 @@ def extension_from_cocycle(z: Cochain) -> GerbeExtension:
         raise GerbesError("extension construction needs a cocycle")
     module = z.module
     group = module.group
-    from .groups import abelian_table_group
-
     kernel = abelian_table_group(module.carrier)
     elems = list(module.carrier.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -303,25 +304,7 @@ class LocalSection:
 def splitting_images(ext: GerbeExtension, sub: Subgroup) -> list[tuple[int, ...]]:
     """All homomorphisms s: D -> Gamma with proj(s(d)) = d, sorted by images."""
     dgroup, embed = sub.as_group()
-    gens: list[int] = []
-    span = {0}
-    while len(span) < dgroup.order:
-        g = min(x for x in range(dgroup.order) if x not in span)
-        gens.append(g)
-        span = set(Subgroup.generated_by(dgroup, gens).elements)
-    parent: dict[int, tuple[int, int] | None] = {0: None}
-    order_list = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = dgroup.table[x][g]
-                if y not in parent:
-                    parent[y] = (x, gi)
-                    order_list.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    gens, steps = spanning_tree(dgroup.table)
     fibers = [ext.fiber(embed[g]) for g in gens]
     count = 1
     for f in fibers:
@@ -332,9 +315,8 @@ def splitting_images(ext: GerbeExtension, sub: Subgroup) -> list[tuple[int, ...]
     found = set()
     for combo in itertools.product(*fibers):
         im = [0] * dgroup.order
-        for y in order_list[1:]:
-            x, gi = parent[y]
-            im[y] = table[im[x]][combo[gi]]
+        for y, x, i in steps:
+            im[y] = table[im[x]][combo[i]]
         ok = all(ext.proj(im[a]) == embed[a] for a in range(dgroup.order))
         if ok:
             ok = all(
@@ -378,34 +360,15 @@ def _twisted_cocycles(ext: GerbeExtension, base: LocalSection) -> list[tuple[int
         lift = base.images[d]
         return ext.pull(total.table[total.table[lift][ext.incl(h)]][total.inv[lift]])
 
-    gens: list[int] = []
-    span = {0}
-    while len(span) < dgroup.order:
-        g = min(x for x in range(dgroup.order) if x not in span)
-        gens.append(g)
-        span = set(Subgroup.generated_by(dgroup, gens).elements)
-    parent: dict[int, tuple[int, int] | None] = {0: None}
-    order_list = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = dgroup.table[x][g]
-                if y not in parent:
-                    parent[y] = (x, gi)
-                    order_list.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    gens, steps = spanning_tree(dgroup.table)
     if h_group.order ** len(gens) > SPLITTING_SEARCH_BOUND:
         raise SizeBound("twisted cocycle enumeration exceeds the configured bound")
     out = []
     for combo in itertools.product(range(h_group.order), repeat=len(gens)):
         z = [0] * dgroup.order
-        for y in order_list[1:]:
-            x, gi = parent[y]
+        for y, x, i in steps:
             # z(x * g) = z(x) * (x . z(g))
-            z[y] = h_group.table[z[x]][act(x, combo[gi])]
+            z[y] = h_group.table[z[x]][act(x, combo[i])]
         ok = all(
             z[dgroup.table[a][b]] == h_group.table[z[a]][act(a, z[b])]
             for a in range(dgroup.order)
@@ -468,13 +431,10 @@ def gerbe_dual(ext: GerbeExtension, mu: GModule) -> DualData:
     Cached per (extension, mu) pair so every caller shares one module
     object; cochains over the dual compare and combine by module identity.
     """
-    cache = getattr(ext, "_dual_cache", None)
-    if cache is None:
-        cache = {}
-        ext._dual_cache = cache  # type: ignore[attr-defined]
-    key = id(mu)
-    if key in cache:
-        return cache[key]
+    return memo(ext, mu, _gerbe_dual, ext, mu)
+
+
+def _gerbe_dual(ext: GerbeExtension, mu: GModule) -> DualData:
     dd = dual_module(ext.kernel_group, induced_conj_perms(ext), mu)
     m = mu.carrier.factors[0]
     exp = dd.abelianized.target.exponent
@@ -482,7 +442,6 @@ def gerbe_dual(ext: GerbeExtension, mu: GModule) -> DualData:
         raise InputError(
             f"mu modulus {m} is not divisible by exp(H^ab) = {exp}"
         )
-    cache[key] = dd
     return dd
 
 
@@ -582,25 +541,7 @@ class BMFunctional:
 def _character_lifts(group: FiniteGroup, m: int, t: int, old: Sequence[int]) -> list[dict[int, int]]:
     """All characters G -> (Z/mt)* that reduce to the given one mod m."""
     mt = m * t
-    gens: list[int] = []
-    span = {0}
-    while len(span) < group.order:
-        g = min(x for x in range(group.order) if x not in span)
-        gens.append(g)
-        span = set(Subgroup.generated_by(group, gens).elements)
-    parent: dict[int, tuple[int, int] | None] = {0: None}
-    order_list = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = group.table[x][g]
-                if y not in parent:
-                    parent[y] = (x, gi)
-                    order_list.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    gens, steps = spanning_tree(group.table)
     candidates = []
     for g in gens:
         cand = [
@@ -614,9 +555,8 @@ def _character_lifts(group: FiniteGroup, m: int, t: int, old: Sequence[int]) -> 
     out = []
     for combo in itertools.product(*candidates):
         chi = {0: 1}
-        for y in order_list[1:]:
-            x, gi = parent[y]
-            chi[y] = chi[x] * combo[gi] % mt
+        for y, x, i in steps:
+            chi[y] = chi[x] * combo[i] % mt
         if all(
             chi[group.table[a][b]] == chi[a] * chi[b] % mt
             for a in range(group.order)
@@ -633,12 +573,6 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
     inv_v agrees with the old one through the induced map on H^2, and only
     axiom-clean extensions are returned.
     """
-    from .modules import cyclic_module
-    from .linalg import solve_mod
-    from .arith import check_axioms
-    import numpy as np
-    from math import lcm as _lcm
-
     m = model.modulus
     mt = m * t
     old_char = [model.mu.matrix(g)[0][0] % m for g in range(model.group.order)]
@@ -670,7 +604,7 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
             for rep in old_h2.representatives:
                 lifted = Cochain(sub_mu_t, 2, [(t * v[0],) for v in rep.values])
                 cols.append(new_h2.reduce(lifted))
-            big = _lcm(*(list(new_h2.factors) + [v.order for v in p.inv] + [1]))
+            big = lcm(*(list(new_h2.factors) + [v.order for v in p.inv] + [1]))
             rows = []
             target = []
             for i in range(len(old_h2.factors)):

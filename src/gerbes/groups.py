@@ -8,11 +8,9 @@ permutation closures label elements by sorted permutation tuples.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     ClosureExceedsBound,
@@ -26,13 +24,57 @@ from .errors import (
 )
 from .finab import FinAb, abelian_structure
 
-FULL_ASSOCIATIVITY_BOUND = 64
-ASSOCIATIVITY_SAMPLES = 20000
 DEFAULT_CLOSURE_BOUND = 10080
 
 
+def memo(owner: Any, key: Hashable, build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)``, computed once per ``(build, key)`` and kept on ``owner``.
+
+    Owners set ``self._memo = {}`` at construction.  Keys hold the objects
+    themselves (which hash by identity), never their ids, so a key cannot
+    outlive the object it names.
+    """
+    cache = owner._memo
+    try:
+        return cache[build, key]
+    except KeyError:
+        value = cache[build, key] = build(*args)
+        return value
+
+
+def spanning_tree(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Greedy generators and a BFS spanning tree of right multiplication.
+
+    Each generator is the smallest element not yet reached from 0 by right
+    products of the earlier ones; ``steps`` lists ``(y, x, i)`` with
+    ``y = x * gens[i]`` in BFS order, one step per element other than 0.
+    Only the identity at index 0 is assumed, not associativity.
+    """
+    n = len(table)
+    gens: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    seen = [True] + [False] * (n - 1)
+    while not all(seen):
+        gens.append(seen.index(False))
+        seen = [True] + [False] * (n - 1)
+        queue, steps = [0], []
+        for x in queue:
+            for i, g in enumerate(gens):
+                y = table[x][g]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+                    steps.append((y, x, i))
+    return gens, steps
+
+
 class FiniteGroup:
-    """Immutable finite group on {0, ..., order-1} with identity 0."""
+    """Immutable finite group on {0, ..., order-1} with identity 0.
+
+    Table validation is exact at every order: associativity is checked by
+    Light's test on a generating set (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1.2), never by sampling.
+    """
 
     def __init__(
         self,
@@ -59,6 +101,7 @@ class FiniteGroup:
             raise InputError("labels length does not match group order")
         self.labels = tuple(labels) if labels is not None else None
         self.inv: tuple[int, ...] = self._validate()
+        self._memo: dict = {}
 
     def _validate(self) -> tuple[int, ...]:
         n, tab = self.order, self.table
@@ -73,17 +116,15 @@ class FiniteGroup:
                     break
             if inv[a] < 0:
                 raise NoInverse(f"element {a} has no two-sided inverse")
-        if n <= FULL_ASSOCIATIVITY_BOUND:
-            triples: Iterable[tuple[int, int, int]] = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(n)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(ASSOCIATIVITY_SAMPLES)
-            )
-        for a, b, c in triples:
-            if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        # Light's test: if (a s) c == a (s c) for every generator s, the
+        # elements satisfying it are closed under products, so all do.
+        for s in spanning_tree(tab)[0]:
+            for a, row in enumerate(tab):
+                left = tab[row[s]]
+                right = tuple([row[x] for x in tab[s]])
+                if left != right:
+                    c = next(c for c in range(n) if left[c] != right[c])
+                    raise NonAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})")
         for a in range(n):
             for b in range(n):
                 if inv[tab[a][b]] != tab[inv[b]][inv[a]]:
@@ -378,19 +419,14 @@ class Subgroup:
         Cached on the parent keyed by the element set, so equal subgroups
         share one group object and module restrictions stay compatible.
         """
-        cache = getattr(self.parent, "_subgroup_cache", None)
-        if cache is None:
-            cache = {}
-            self.parent._subgroup_cache = cache  # type: ignore[attr-defined]
-        if self.elements in cache:
-            return cache[self.elements]
-        embed = self.elements
-        pos = {e: i for i, e in enumerate(embed)}
-        table = [[pos[self.parent.table[a][b]] for b in embed] for a in embed]
-        labels = [self.parent.label(e) for e in embed]
-        group = FiniteGroup(table, labels=labels, name=f"{self.parent.name or 'G'}|{embed}")
-        cache[self.elements] = (group, embed)
-        return group, embed
+        return memo(self.parent, self.elements, _subgroup_as_group, self.parent, self.elements)
+
+
+def _subgroup_as_group(parent: FiniteGroup, embed: tuple[int, ...]) -> tuple[FiniteGroup, tuple[int, ...]]:
+    pos = {e: i for i, e in enumerate(embed)}
+    table = [[pos[parent.table[a][b]] for b in embed] for a in embed]
+    labels = [parent.label(e) for e in embed]
+    return FiniteGroup(table, labels=labels, name=f"{parent.name or 'G'}|{embed}"), embed
 
 
 def cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:

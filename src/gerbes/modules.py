@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from .errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing, SizeBound
 from .finab import FinAb
-from .groups import Abelianization, FiniteGroup, Subgroup, abelianization
+from .groups import Abelianization, FiniteGroup, Subgroup, abelianization, memo
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -55,6 +55,7 @@ class GModule:
             mats = [_freeze_matrix(m, k) for m in action]
         self.action: tuple[IntMatrix, ...] = tuple(mats)
         self._validate()
+        self._memo: dict = {}
 
     def _validate(self) -> None:
         k = self.carrier.rank
@@ -170,17 +171,13 @@ def restrict_module(module: GModule, sub: Subgroup) -> GModule:
     """
     if sub.parent is not module.group:
         raise InputError("subgroup does not belong to the module's group")
-    cache = getattr(module, "_restrict_cache", None)
-    if cache is None:
-        cache = {}
-        module._restrict_cache = cache  # type: ignore[attr-defined]
-    if sub.elements in cache:
-        return cache[sub.elements]
+    return memo(module, sub.elements, _restricted_module, module, sub)
+
+
+def _restricted_module(module: GModule, sub: Subgroup) -> GModule:
     group, embed = sub.as_group()
     action = [module.action[e] for e in embed]
-    out = GModule(group, module.carrier, action, name=f"{module.name or 'M'}|D")
-    cache[sub.elements] = out
-    return out
+    return GModule(group, module.carrier, action, name=f"{module.name or 'M'}|D")
 
 
 @dataclass(frozen=True)
@@ -221,13 +218,15 @@ def induced_action_on_abelianization(
     cached per (acting group, action), so independent callers share one
     module object.
     """
-    cache = getattr(h_group, "_abaction_cache", None)
-    if cache is None:
-        cache = {}
-        h_group._abaction_cache = cache  # type: ignore[attr-defined]
-    key = (id(acting_group), tuple(tuple(p) for p in outer_action))
-    if key in cache:
-        return cache[key]
+    action = tuple(tuple(p) for p in outer_action)
+    return memo(h_group, (acting_group, action), _induced_action, h_group, action, acting_group)
+
+
+def _induced_action(
+    h_group: FiniteGroup,
+    outer_action: tuple[tuple[int, ...], ...],
+    acting_group: FiniteGroup,
+) -> tuple[Abelianization, GModule]:
     ab = abelianization(h_group)
     if len(outer_action) != acting_group.order:
         raise InputError("outer action must give one automorphism per group element")
@@ -243,7 +242,6 @@ def induced_action_on_abelianization(
         k = ab.target.rank
         mats.append([[cols[j][i] for j in range(k)] for i in range(k)])
     module = GModule(acting_group, ab.target, mats, name=f"{h_group.name or 'H'}^ab")
-    cache[key] = (ab, module)
     return ab, module
 
 

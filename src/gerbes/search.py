@@ -8,11 +8,12 @@ enumerated in a fixed order and the first witness wins.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .arith import ArithmeticModel, Place, ShaResult, search_inv_assignments, sha
-from .cochain import Cochain, cohomology
+from .cochain import Cochain, cohomology, restriction
 from .errors import GerbesError, NotLocallyNeutral
 from .finab import FinAb, QmodZ
 from .gerbe import BMFunctional, GerbeExtension, brauer_manin, extension_from_cocycle
@@ -34,14 +35,7 @@ def _invariant_factor_chains(max_order: int) -> list[tuple[int, ...]]:
             d += 1
 
     extend((), 1)
-    return sorted(out, key=lambda c: (prod(c), c))
-
-
-def prod(xs: Sequence[int]) -> int:
-    n = 1
-    for x in xs:
-        n *= x
-    return n
+    return sorted(out, key=lambda c: (math.prod(c), c))
 
 
 def _endomorphism_matrices(carrier: FinAb) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -65,7 +59,7 @@ def _involution_automorphisms(carrier: FinAb) -> list[tuple[tuple[int, ...], ...
         ok = True
         for i in range(carrier.rank):
             for j in range(carrier.rank):
-                need = carrier.factors[i] // _gcd(carrier.factors[i], carrier.factors[j])
+                need = carrier.factors[i] // math.gcd(carrier.factors[i], carrier.factors[j])
                 if mat[i][j] % need:
                     ok = False
                     break
@@ -79,12 +73,6 @@ def _involution_automorphisms(carrier: FinAb) -> list[tuple[tuple[int, ...], ...
             continue
         out.append(mat)
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -150,7 +138,7 @@ def find_mh_witness(max_kernel_order: int = 8, assignment_bound: int = 4096) -> 
     c4 = cyclic_group(4)
     half = Subgroup(c4, (0, 2))
     triv = Subgroup.trivial(c4)
-    units = {m: [u for u in range(1, m) if _gcd(u, m) == 1] for m in (4, 8)}
+    units = {m: [u for u in range(1, m) if math.gcd(u, m) == 1] for m in (4, 8)}
     for m_a in (2, 4, 8):
         if m_a > max_kernel_order:
             break
@@ -190,8 +178,6 @@ def _locally_trivial_classes(module: GModule, subs: Sequence[Subgroup]) -> list[
         ok = True
         for sub in subs:
             loc = cohomology(module.restrict(sub), 2)
-            from .cochain import restriction
-
             if any(loc.reduce(restriction(z, sub))):
                 ok = False
                 break

@@ -25,8 +25,27 @@ from gerbes.groups import (
     quaternion_group,
     quotient_group,
     sl2_f5,
+    spanning_tree,
     symmetric_group,
 )
+
+# Identity and two-sided inverses, but not associative.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _right_closure(table, gens):
+    reached = {0}
+    while True:
+        new = {table[x][g] for x in reached for g in gens} - reached
+        if not new:
+            return reached
+        reached |= new
 
 
 def test_trivial_group_from_table():
@@ -56,15 +75,36 @@ def test_table_validation_errors():
         FiniteGroup([[0, 1], [1, 1]])
     # Identity and inverses hold but associativity fails.
     with pytest.raises((NonAssociative, NoInverse)):
-        FiniteGroup(
-            [
-                [0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 4, 0, 1, 3],
-                [3, 2, 4, 0, 1],
-                [4, 3, 1, 2, 0],
-            ]
-        )
+        FiniteGroup(LOOP5)
+
+
+def test_spanning_tree_greedy_generators_reach_everything():
+    s4 = symmetric_group(4)
+    for table in (s4.table, LOOP5):
+        n = len(table)
+        gens, steps = spanning_tree(table)
+        assert sorted(y for y, _, _ in steps) == list(range(1, n))
+        reached = {0}
+        for y, x, i in steps:
+            assert x in reached and table[x][gens[i]] == y
+            reached.add(y)
+        for k, g in enumerate(gens):
+            assert g == min(set(range(n)) - _right_closure(table, gens[:k]))
+    # In a group the right-product closure is the generated subgroup.
+    gens, _ = spanning_tree(s4.table)
+    for k in range(len(gens) + 1):
+        assert _right_closure(s4.table, gens[:k]) == set(Subgroup.generated_by(s4, gens[:k]).elements)
+
+
+def test_associativity_is_exact_above_order_64():
+    table = [[(a + b) % 128 for b in range(128)] for a in range(128)]
+    # Swap the intercalate at rows 5, 69 and columns 20, 84: still a Latin
+    # square with identity 0 and two-sided inverses, but not associative.
+    table[5][20], table[5][84] = table[5][84], table[5][20]
+    table[69][20], table[69][84] = table[69][84], table[69][20]
+    with pytest.raises(NonAssociative):
+        FiniteGroup(table)
+    assert FiniteGroup(sl2_f5().table).order == 120
 
 
 def test_inverse_antihomomorphism():
