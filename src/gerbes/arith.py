@@ -56,7 +56,6 @@ class ArithmeticModel:
         mu: GModule,
         places: Sequence[Place],
         chebotarev_complete: bool = False,
-        max_order: int = 64,
     ) -> None:
         if mu.group is not group:
             raise InputError("mu must be a module over the model's Galois group")
@@ -66,7 +65,6 @@ class ArithmeticModel:
         self.mu = mu
         self.places = tuple(places)
         self.chebotarev_complete = bool(chebotarev_complete)
-        self.max_order = max_order
         names = [p.name for p in self.places]
         if len(set(names)) != len(names):
             raise InputError("place names must be distinct")
@@ -84,10 +82,10 @@ class ArithmeticModel:
         return self.mu.restrict(place.subgroup)
 
     def local_h2(self, place: Place) -> CohomologyGroup:
-        return cohomology(self.local_mu(place), 2, max_order=self.max_order)
+        return cohomology(self.local_mu(place), 2)
 
     def global_h2(self) -> CohomologyGroup:
-        return cohomology(self.mu, 2, max_order=self.max_order)
+        return cohomology(self.mu, 2)
 
     @property
     def modulus(self) -> int:
@@ -230,7 +228,7 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
         raise InputError("sha is computed in degrees 1 and 2")
     if module.group is not model.group:
         raise InputError("module must live over the model's Galois group")
-    amb = cohomology(module, degree, max_order=model.max_order)
+    amb = cohomology(module, degree)
     r = len(amb.factors)
     if r == 0:
         return ShaResult(degree, amb, (), ())
@@ -238,7 +236,7 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
     rows: list[list[int]] = []
     moduli: list[int] = []
     for p in model.places:
-        loc = cohomology(module.restrict(p.subgroup), degree, max_order=model.max_order)
+        loc = cohomology(module.restrict(p.subgroup), degree)
         res_coords = [
             loc.reduce(restriction(amb.representatives[j], p.subgroup)) for j in range(r)
         ]
@@ -281,7 +279,7 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
         prims = []
         for p in model.places:
             resz = restriction(z, p.subgroup)
-            solved = solve_coboundary(resz, max_order=model.max_order)
+            solved = solve_coboundary(resz)
             if solved.primitive is None:
                 raise GerbesError(
                     f"sha generator is not locally trivial at place {p.name!r}"
@@ -297,7 +295,6 @@ def search_inv_assignments(
     subgroups: Sequence[Subgroup],
     bound: int = 1_000_000,
     chebotarev_complete: bool = False,
-    max_order: int = 64,
 ) -> list[ArithmeticModel]:
     """All A1+A2-consistent invariant assignments on the given places.
 
@@ -310,11 +307,10 @@ def search_inv_assignments(
         group,
         mu,
         [
-            Place(f"v{i}", sub, tuple(QmodZ.zero() for _ in cohomology(mu.restrict(sub), 2, max_order=max_order).factors))
+            Place(f"v{i}", sub, tuple(QmodZ.zero() for _ in cohomology(mu.restrict(sub), 2).factors))
             for i, sub in enumerate(subgroups)
         ],
         chebotarev_complete=chebotarev_complete,
-        max_order=max_order,
     )
     slots: list[tuple[int, int]] = []  # (place index, generator order)
     for i, p in enumerate(zero_model.places):
@@ -363,8 +359,6 @@ def search_inv_assignments(
             for p, vals in zip(zero_model.places, values)
         ]
         models.append(
-            ArithmeticModel(
-                group, mu, places, chebotarev_complete=chebotarev_complete, max_order=max_order
-            )
+            ArithmeticModel(group, mu, places, chebotarev_complete=chebotarev_complete)
         )
     return models

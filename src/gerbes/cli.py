@@ -44,7 +44,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--expect-zero", action="store_true",
                         help="exit 1 when the computed invariant is nonzero")
     common.add_argument("--max-group-order", type=int, default=64,
-                        help="cohomology size bound (default 64)")
+                        help="largest order of a group that acts on coefficients: module "
+                             "groups, extension quotients, the model group (default 64)")
     common.add_argument("--mu-enlarge-bound", type=int, default=1,
                         help="retry H^3 obstructions with mu enlarged up to this factor")
     common.add_argument("--seed", type=int, default=0,
@@ -121,7 +122,7 @@ def _cmd_cohomology(args, document: doc.Document) -> int:
     name = _only(document.modules, "module", _task(document, "cohomology", "module", args.module))
     degree = int(_task(document, "cohomology", "degree", args.degree, 1))
     module = document.module(name)
-    h = cohomology(module, degree, max_order=args.max_group_order)
+    h = cohomology(module, degree)
     payload = {
         "command": "cohomology",
         "inputs": {
@@ -243,7 +244,7 @@ def _cmd_gerbe(args, document: doc.Document) -> int:
     ext = document.extension(name)
     if args.action == "class":
         cls = class_2cocycle(ext)
-        h2 = cohomology(cls.module, 2, max_order=args.max_group_order)
+        h2 = cohomology(cls.module, 2)
         coords = h2.reduce(cls.cochain)
         payload = {
             "command": "gerbe class",
@@ -294,7 +295,7 @@ def _cmd_gerbe(args, document: doc.Document) -> int:
         ] + ([f"NOT locally neutral at: {', '.join(missing)}"] if missing else []))
         return 1 if missing else 0
     if args.action == "brauer":
-        h1 = brauer_a(ext, model.mu, max_order=args.max_group_order)
+        h1 = brauer_a(ext, model.mu)
         payload = {
             "command": "gerbe brauer",
             "inputs": {
@@ -379,7 +380,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "selftest":
             return _cmd_selftest(args)
-        document = doc.load_document(args.file, max_group_order=max(args.max_group_order, 10080))
+        document = doc.load_document(args.file, max_group_order=args.max_group_order)
         if args.command == "cohomology":
             return _cmd_cohomology(args, document)
         if args.command == "dual":

@@ -35,8 +35,10 @@ from .linalg import Congruence, kernel_mod, snf, solve_mod
 from .modules import GModule, Pairing, restrict_module
 
 MAX_DEGREE = 3
-DEFAULT_GROUP_BOUND = 64
 _PLAN_SLOT_BOUND = 4_000_000
+# Dense d_n matrices are the one allocation that grows without bound in |G|
+# (|G| = 64, degree 2 would take 7.4 GiB); 1 GiB is far above any shipped use.
+_MATRIX_BYTE_BOUND = 1 << 30
 
 
 class Cochain:
@@ -229,9 +231,7 @@ def differential(c: Cochain) -> Cochain:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """d c == 0 through degree 3, where the raw differential array is checked."""
-    if c.degree < MAX_DEGREE:
-        return differential(c).is_zero()
+    """d c == 0, for degrees 0..3."""
     return not _differential_array(c).any()
 
 
@@ -288,54 +288,62 @@ class CoboundaryResult:
 
 
 def _differential_matrix(module: GModule, degree: int) -> np.ndarray:
-    """Integer matrix of d_degree on flattened coordinates (int64)."""
+    """Integer matrix of d_degree on flattened coordinates (int64).
+
+    Raises SizeBound, before allocating, when the matrix would pass
+    ``_MATRIX_BYTE_BOUND`` bytes.
+    """
     q = module.group.order - 1
     k = module.rank
     in_dim = (q**degree) * k
     out_dim = (q ** (degree + 1)) * k
+    if out_dim * in_dim * 8 > _MATRIX_BYTE_BOUND:
+        raise SizeBound(
+            f"d_{degree} over a group of order {q + 1} is a {out_dim} x {in_dim} int64 matrix "
+            f"of {out_dim * in_dim * 8} bytes, past the bound of {_MATRIX_BYTE_BOUND} bytes"
+        )
     mat = np.zeros((out_dim, in_dim), dtype=np.int64)
     if in_dim == 0 or out_dim == 0:
         return mat
     plan = memo(module, degree, _diff_plan, module, degree)
-    block = plan.in_slots
-    for g in range(1, q + 1):
-        p = np.asarray(module.matrix(g), dtype=np.int64)
-        for s in range(block):
-            r0 = ((g - 1) * block + s) * k
-            c0 = s * k
-            mat[r0 : r0 + k, c0 : c0 + k] += p
-    for sign, idx in plan.middle:
-        for out_slot, in_slot in enumerate(idx):
-            if in_slot == plan.in_slots:
-                continue
-            r0 = out_slot * k
-            c0 = int(in_slot) * k
-            mat[r0 : r0 + k, c0 : c0 + k] += sign * np.eye(k, dtype=np.int64)
-    for out_slot, in_slot in enumerate(plan.last_idx):
-        r0 = out_slot * k
-        c0 = int(in_slot) * k
-        mat[r0 : r0 + k, c0 : c0 + k] += plan.last_sign * np.eye(k, dtype=np.int64)
+    # Every plan term sends an output slot to at most one input slot, so
+    # each fancy-indexed add below touches every entry at most once.
+    comp = np.arange(k)
+    out_slot = np.arange(plan.out_slots)
+    rows = out_slot[:, None] * k + comp
+    acting = np.asarray([module.matrix(g) for g in range(q + 1)], dtype=np.int64)
+    in_cols = (out_slot % plan.in_slots)[:, None] * k + comp
+    mat[rows[:, :, None], in_cols[:, None, :]] += acting[out_slot // plan.in_slots + 1]
+    for sign, idx in (*plan.middle, (plan.last_sign, plan.last_idx)):
+        live = idx != plan.in_slots
+        mat[rows[live], idx[live, None] * k + comp] += sign
     return mat
+
+
+def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """d_degree over Z/e, e = max(exponent, 2), each row scaled by e / d_i.
+
+    Returns the matrix, the per-row scale and e; x is a cocycle modulo the
+    carrier factors exactly when the scaled matrix sends it to 0 mod e.
+    """
+    e = max(module.carrier.exponent, 2)
+    q = module.group.order - 1
+    scale = np.tile(e // np.asarray(module.carrier.factors, dtype=np.int64), q ** (degree + 1))
+    return (_differential_matrix(module, degree) * scale[:, None]) % e, scale, e
 
 
 class CohomologyGroup:
     """H^n(G, M) with canonical representatives and a reduction map."""
 
-    def __init__(self, module: GModule, degree: int, max_order: int = DEFAULT_GROUP_BOUND) -> None:
+    def __init__(self, module: GModule, degree: int) -> None:
         if degree not in (0, 1, 2):
             raise DegreeTooHigh("cohomology is computed for degrees 0, 1, 2 only")
-        if module.group.order > max_order:
-            raise SizeBound(
-                f"group order {module.group.order} exceeds the cohomology bound {max_order}"
-            )
         self.module = module
         self.degree = degree
         group = module.group
         q = group.order - 1
         k = module.rank
         self._in_dim = (q**degree) * k
-        e = module.carrier.exponent
-        self._e = max(e, 2)
         car = module.carrier
         if k == 0:
             self.factors: tuple[int, ...] = ()
@@ -343,11 +351,8 @@ class CohomologyGroup:
             self._kernel = None
             return
 
-        a_mat = _differential_matrix(module, degree)
-        out_factors = np.tile(np.asarray(car.factors, dtype=np.int64), q ** (degree + 1))
-        scale = (self._e // out_factors)[:, None] if a_mat.shape[0] else np.zeros((0, 1), dtype=np.int64)
-        self._a_scaled = (a_mat * scale) % self._e if a_mat.shape[0] else a_mat
-        self._kernel = kernel_mod(self._a_scaled, self._e)
+        a_scaled, _, e = memo(module, degree, _scaled_differential, module, degree)
+        self._kernel = kernel_mod(a_scaled, e)
 
         rel = np.tile(np.asarray(car.factors, dtype=np.int64), q**degree)
         self._rel = [int(x) for x in rel]
@@ -399,12 +404,7 @@ class CohomologyGroup:
     def is_cocycle(self, z: Cochain) -> bool:
         if z.degree != self.degree or not self.module.compatible_with(z.module):
             raise InputError("cochain does not live in this cohomology group")
-        if self.module.rank == 0:
-            return True
-        vec = np.asarray(z.flat(), dtype=np.int64)
-        if self._a_scaled.shape[0] == 0:
-            return True
-        return not (self._a_scaled @ vec % self._e).any()
+        return is_cocycle(z)
 
     def reduce(self, z: Cochain) -> tuple[int, ...]:
         """Coordinates of the class of ``z`` in the invariant-factor basis."""
@@ -429,18 +429,12 @@ class CohomologyGroup:
         return f"H^{self.degree}({self.module!r}) = {list(self.factors)}"
 
 
-def cohomology(module: GModule, degree: int, max_order: int = DEFAULT_GROUP_BOUND) -> CohomologyGroup:
-    """H^degree(G, M) for degree <= 2, cached on the module by degree.
-
-    The bound is checked on every call, so a cached group is never
-    returned past a smaller ``max_order``.
-    """
-    if module.group.order > max_order:
-        raise SizeBound(f"group order {module.group.order} exceeds the cohomology bound {max_order}")
-    return memo(module, degree, CohomologyGroup, module, degree, max_order)
+def cohomology(module: GModule, degree: int) -> CohomologyGroup:
+    """H^degree(G, M) for degree <= 2, cached on the module by degree."""
+    return memo(module, degree, CohomologyGroup, module, degree)
 
 
-def solve_coboundary(y: Cochain, max_order: int = DEFAULT_GROUP_BOUND) -> CoboundaryResult:
+def solve_coboundary(y: Cochain) -> CoboundaryResult:
     """Find c with dc = y, or certify that no primitive exists.
 
     ``y`` must be a cocycle of degree 1..3.  The solution is the
@@ -454,22 +448,17 @@ def solve_coboundary(y: Cochain, max_order: int = DEFAULT_GROUP_BOUND) -> Coboun
     if not is_cocycle(y):
         raise NotACocycle(f"target of solve_coboundary is not a {n}-cocycle")
     module = y.module
-    car = module.carrier
     k = module.rank
     q = module.group.order - 1
     if k == 0 or q == 0:
         return CoboundaryResult(Cochain.zero(module, n - 1), None)
-    e = max(car.exponent, 2)
-    b_mat = _differential_matrix(module, n - 1)
-    out_factors = np.tile(np.asarray(car.factors, dtype=np.int64), q**n)
-    scale = e // out_factors
-    b_scaled = (b_mat * scale[:, None]) % e
+    b_scaled, scale, e = memo(module, n - 1, _scaled_differential, module, n - 1)
     target = [int(v) * int(s) % e for v, s in zip(y.flat(), scale)]
     x, failed = solve_mod(b_scaled, target, e)
     if x is None:
         coords: tuple[int, ...] | None = None
         if n <= 2:
-            coords = cohomology(module, n, max_order=max_order).reduce(y)
+            coords = cohomology(module, n).reduce(y)
         return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
     vals = [tuple(x[s * k : (s + 1) * k]) for s in range(q ** (n - 1))]
     c = Cochain(module, n - 1, vals)

@@ -39,10 +39,10 @@ from typing import Any
 
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
 from .cochain import Cochain, CohomologyGroup
-from .errors import InputError
+from .errors import InputError, SizeBound
 from .finab import QmodZ
 from .gerbe import BMFunctional, BMTrace, FactorizationReport, GerbeExtension
-from .groups import FiniteGroup, GroupHom, Subgroup, build_group
+from .groups import DEFAULT_CLOSURE_BOUND, FiniteGroup, GroupHom, Subgroup, build_group
 from .modules import GModule, cyclic_module
 from .finab import FinAb
 
@@ -79,7 +79,7 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
-def load_document(path: str, max_group_order: int = 10080) -> Document:
+def load_document(path: str, max_group_order: int = DEFAULT_CLOSURE_BOUND) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -92,40 +92,60 @@ def load_document(path: str, max_group_order: int = 10080) -> Document:
     return parse_document(raw, max_group_order=max_group_order)
 
 
-def parse_document(raw: dict[str, Any], max_group_order: int = 10080) -> Document:
+def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_BOUND) -> Document:
+    """Resolve a raw document; a malformed entry raises InputError, or the
+    GerbesError of the validation it fails (a table, subgroup or map).
+
+    Each group that acts on coefficients (module groups, extension
+    quotients, the model group) must have order at most
+    ``max_group_order``, checked before any cohomology is computed.
+    Permutation closures stop at ``max(max_group_order,
+    DEFAULT_CLOSURE_BOUND)`` elements.
+    """
     if not isinstance(raw, dict):
         raise InputError("document root must be a JSON object")
     known = {"groups", "modules", "extensions", "model", "tasks"}
     for key in raw:
         if key not in known:
             raise InputError(f"unknown top-level section {key!r}")
-    groups: dict[str, FiniteGroup] = {}
-    for name, spec in (raw.get("groups") or {}).items():
-        try:
-            groups[name] = build_group(spec, max_order=max_group_order, name=name)
-        except InputError:
-            raise
-        except Exception as exc:
-            raise InputError(f"group {name!r}: {exc}") from exc
-    modules: dict[str, GModule] = {}
-    for name, spec in (raw.get("modules") or {}).items():
-        modules[name] = _parse_module(name, spec, groups)
-    extensions: dict[str, GerbeExtension] = {}
-    for name, spec in (raw.get("extensions") or {}).items():
-        extensions[name] = _parse_extension(name, spec, groups)
-    model = None
-    if raw.get("model") is not None:
-        model = _parse_model(raw["model"], groups)
+    closure_bound = max(max_group_order, DEFAULT_CLOSURE_BOUND)
+    try:
+        groups = {
+            name: build_group(spec, max_order=closure_bound, name=name)
+            for name, spec in (raw.get("groups") or {}).items()
+        }
+        modules = {
+            name: _parse_module(name, spec, groups, max_group_order)
+            for name, spec in (raw.get("modules") or {}).items()
+        }
+        extensions = {
+            name: _parse_extension(name, spec, groups, max_group_order)
+            for name, spec in (raw.get("extensions") or {}).items()
+        }
+        model = None
+        if raw.get("model") is not None:
+            model = _parse_model(raw["model"], groups, max_group_order)
+    except (TypeError, ValueError, AttributeError, IndexError, KeyError) as exc:
+        raise InputError(f"malformed document: {type(exc).__name__}: {exc}") from exc
     tasks = raw.get("tasks") or {}
-    if not isinstance(tasks, dict):
-        raise InputError("'tasks' must be an object")
+    if not isinstance(tasks, dict) or not all(isinstance(t, dict) for t in tasks.values()):
+        raise InputError("'tasks' must be an object whose entries are objects")
     return Document(groups, modules, extensions, model, tasks, raw)
 
 
-def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup]) -> GModule:
+def _acting_group(groups: dict[str, FiniteGroup], name: str, bound: int) -> FiniteGroup:
+    group = _lookup(groups, name, "group")
+    if group.order > bound:
+        raise SizeBound(
+            f"group {name!r} of order {group.order} acts on coefficients; the bound is {bound}"
+        )
+    return group
+
+
+def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int) -> GModule:
     if "group" not in spec:
         raise InputError(f"module {name!r} is missing its 'group' reference")
-    group = _lookup(groups, spec["group"], "group")
+    group = _acting_group(groups, spec["group"], bound)
     factors = tuple(int(d) for d in spec.get("factors", ()))
     action = {int(k): v for k, v in (spec.get("action") or {}).items()}
     try:
@@ -134,12 +154,14 @@ def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup
         raise InputError(f"module {name!r}: {exc}") from exc
 
 
-def _parse_extension(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup]) -> GerbeExtension:
+def _parse_extension(
+    name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int
+) -> GerbeExtension:
     for key in ("total", "quotient", "kernel", "projection", "injection"):
         if key not in spec:
             raise InputError(f"extension {name!r} is missing {key!r}")
     total = _lookup(groups, spec["total"], "group")
-    quotient = _lookup(groups, spec["quotient"], "group")
+    quotient = _acting_group(groups, spec["quotient"], bound)
     kernel = _lookup(groups, spec["kernel"], "group")
     try:
         proj = GroupHom(total, quotient, [int(x) for x in spec["projection"]])
@@ -147,14 +169,12 @@ def _parse_extension(name: str, spec: dict[str, Any], groups: dict[str, FiniteGr
         return GerbeExtension(proj, incl)
     except InputError as exc:
         raise InputError(f"extension {name!r}: {exc}") from exc
-    except Exception as exc:
-        raise InputError(f"extension {name!r}: {exc}") from exc
 
 
-def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup]) -> ArithmeticModel:
+def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int) -> ArithmeticModel:
     if "group" not in spec:
         raise InputError("model is missing its 'group' reference")
-    group = _lookup(groups, spec["group"], "group")
+    group = _acting_group(groups, spec["group"], bound)
     mu_spec = spec.get("mu") or {}
     modulus = int(mu_spec.get("modulus", 0))
     if modulus < 2:
@@ -167,12 +187,10 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup]) -> Arithm
         sub = Subgroup(group, tuple(int(x) for x in pspec.get("subgroup", [0])))
         inv = tuple(QmodZ.parse(str(v)) for v in pspec.get("inv", []))
         places.append(Place(pname, sub, inv))
-    return ArithmeticModel(
-        group,
-        mu,
-        places,
-        chebotarev_complete=bool(spec.get("chebotarev_complete", False)),
-    )
+    complete = spec.get("chebotarev_complete", False)
+    if not isinstance(complete, bool):
+        raise InputError("model 'chebotarev_complete' must be true or false")
+    return ArithmeticModel(group, mu, places, chebotarev_complete=complete)
 
 
 # -- serialization ------------------------------------------------------------
@@ -199,18 +217,6 @@ def module_json(module: GModule, group_name: str) -> dict[str, Any]:
         "group": group_name,
         "factors": list(module.carrier.factors),
         "action": action,
-    }
-
-
-def extension_json(ext: GerbeExtension) -> dict[str, Any]:
-    return {
-        "projection": list(ext.proj.images),
-        "injection": list(ext.incl.images),
-        "orders": {
-            "total": ext.total.order,
-            "quotient": ext.quotient.order,
-            "kernel": ext.kernel_group.order,
-        },
     }
 
 

@@ -445,10 +445,10 @@ def _gerbe_dual(ext: GerbeExtension, mu: GModule) -> DualData:
     return dd
 
 
-def brauer_a(ext: GerbeExtension, mu: GModule, max_order: int = 64) -> CohomologyGroup:
+def brauer_a(ext: GerbeExtension, mu: GModule) -> CohomologyGroup:
     """Br_a of the gerbe: H^1(G, Hom(H^ab, mu))."""
     dd = gerbe_dual(ext, mu)
-    return cohomology(dd.dual, 1, max_order=max_order)
+    return cohomology(dd.dual, 1)
 
 
 def picard_geom(ext: GerbeExtension, mu: GModule) -> GModule:
@@ -587,7 +587,7 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
         for p in model.places:
             old_h2 = model.local_h2(p)
             sub_mu_t = mu_t.restrict(p.subgroup)
-            new_h2 = cohomology(sub_mu_t, 2, max_order=model.max_order)
+            new_h2 = cohomology(sub_mu_t, 2)
             if not old_h2.factors:
                 places.append(
                     Place(p.name, p.subgroup, tuple(QmodZ.zero() for _ in new_h2.factors))
@@ -626,7 +626,6 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
                 mu_t,
                 places,
                 chebotarev_complete=model.chebotarev_complete,
-                max_order=model.max_order,
             )
         except InputError:
             continue
@@ -704,7 +703,7 @@ def _bm_attempt(
         a_local = dd.source.restrict(sub)
         res_e = restriction(e, sub)
         if trivialization == "solver":
-            solved = solve_coboundary(res_e, max_order=model.max_order)
+            solved = solve_coboundary(res_e)
             if solved.primitive is None:
                 raise NotLocallyNeutral(p.name)
             c_v = solved.primitive
@@ -732,7 +731,7 @@ def _bm_attempt(
         if choices and choices.b_shifts and choices.b_shifts[j] is not None:
             b = b + differential(choices.b_shifts[j])
         u = cup(b, e, pair_eval)
-        solved = solve_coboundary(u, max_order=model.max_order)
+        solved = solve_coboundary(u)
         if solved.primitive is None:
             raise GlobalH3Obstruction(solved.certificate)
         gamma = solved.primitive
@@ -803,6 +802,6 @@ def random_bm_choices(
     }
     n_gens = len(sha(model, dd.dual, 1).generators)
     b_shifts = tuple(Cochain.random(dd.dual, 0, rng) for _ in range(n_gens))
-    h2mu = cohomology(model.mu, 2, max_order=model.max_order)
+    h2mu = cohomology(model.mu, 2)
     gamma_shifts = tuple(random_cocycle(h2mu, rng) for _ in range(n_gens))
     return BMChoices(section, splittings, b_shifts, gamma_shifts)

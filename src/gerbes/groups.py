@@ -372,6 +372,8 @@ class Subgroup:
     def __post_init__(self) -> None:
         elems = tuple(sorted(set(int(x) for x in self.elements)))
         object.__setattr__(self, "elements", elems)
+        if elems and not 0 <= elems[0] <= elems[-1] < self.parent.order:
+            raise InvalidSubgroup(f"subgroup elements must lie in 0..{self.parent.order - 1}")
         if 0 not in elems:
             raise InvalidSubgroup("subgroup must contain the identity")
         member = set(elems)
@@ -494,9 +496,6 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         return Subgroup(self.domain, tuple(a for a, x in enumerate(self.images) if x == 0))
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.codomain, tuple(sorted(set(self.images))))
-
 
 @dataclass(frozen=True)
 class Abelianization:
@@ -511,9 +510,6 @@ class Abelianization:
     coords: tuple[tuple[int, ...], ...]
     generator_preimages: tuple[int, ...]
     commutator: Subgroup
-
-    def project(self, a: int) -> tuple[int, ...]:
-        return self.coords[a]
 
 
 def abelian_table_group(fab: FinAb, name: str | None = None) -> FiniteGroup:

@@ -28,10 +28,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     bt = list(zip(*b)) if b else []
@@ -40,10 +36,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

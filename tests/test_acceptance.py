@@ -6,9 +6,12 @@ same code; this module asserts each one and additionally checks that two
 full CLI selftest runs emit byte-identical JSON.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import gerbes
 from gerbes import selftest as st
 
 
@@ -59,12 +62,17 @@ def test_criterion_10_determinism():
 
 def test_criterion_10_cli_selftest_byte_identical():
     """Full end-to-end determinism: the CLI selftest twice, byte for byte."""
+    # The subprocess imports the same package as this test, installed or not.
+    src = str(Path(gerbes.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
     outs = []
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "gerbes.cli", "selftest", "--output", "json"],
             capture_output=True,
             check=False,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -169,3 +170,84 @@ def test_json_output_round_trips(witness_path, tmp_path, capsys):
     assert run(["sha", str(path2), "--output", "json", "--certificates"]) == 0
     payload2 = json.loads(capsys.readouterr().out)
     assert payload2["result"] == payload["result"]
+
+
+DOCUMENT_COMMANDS = [
+    ["cohomology"], ["dual"], ["sha"], ["model", "check"], ["model", "search-inv"],
+    ["gerbe", "class"], ["gerbe", "local-sections"], ["gerbe", "brauer"], ["gerbe", "mh"],
+    ["verify", "factorization"],
+]
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+MALFORMED = {
+    "place-as-list": _set(["model", "places"], [[0, 1]]),
+    "mu-as-number": _set(["model", "mu"], 5),
+    "non-integer-factor": _set(["modules", "M", "factors"], ["x"]),
+    "float-invariant": _set(["model", "places", 0, "inv"], [0.5]),
+    "subgroup-out-of-range": _set(["model", "places", 0, "subgroup"], [0, 99]),
+    "character-key": _set(["model", "mu", "character"], {"x": 3}),
+    "task-not-object": _set(["tasks"], {"mh": 3}),
+    "chebotarev-not-boolean": _set(["model", "chebotarev_complete"], "no"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED))
+def test_malformed_document_exits_2(probe, tmp_path, capsys):
+    doc = json.loads(resources.files("gerbes.data").joinpath("witness_document.json").read_text())
+    MALFORMED[probe](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["gerbe", "mh", str(path), "--expect-zero"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS, ids=" ".join)
+def test_max_group_order_bounds_every_command(command, witness_path, capsys):
+    assert run([*command, witness_path, "--max-group-order", "2"]) == 2
+    assert "order 4" in capsys.readouterr().err
+
+
+# SHA-256 of stdout for `COMMAND DOC --output json --certificates` on the
+# shipped documents: the byte-stable output contract.  Change a digest only
+# with a deliberate change of the output.  q8 has no module for `cohomology`.
+OUTPUT_DIGESTS = {
+    ("witness", "cohomology"): "7ad14cd84edce23cd574a8d999b3e99bae0eda8ff6e27ae97eeb0a8ef6e196de",
+    ("witness", "dual"): "f796ab6d43e3e10bb47d48f528ff9ef687cda944580dcb4e99bc608e4c6e4218",
+    ("witness", "sha"): "ba4572842c9f3a556c65bc8a2d08e3407adab9e3de3249c2096ffb83404ced93",
+    ("witness", "model check"): "f5ca0bcfba56d1c252b91727b446756fbb275411605aa89d397da7329d455c0f",
+    ("witness", "model search-inv"): "1348179d54b6dc8af89595ef8bcdaa65758adcdeeafd4852414dbdd2af7ae929",
+    ("witness", "gerbe class"): "60a388bed60f3e7ec443835cc6a635b0542c8b4fb7141aab1fa1597def7a9bc0",
+    ("witness", "gerbe local-sections"): "5da04d8e1e14ed1e192a1a8f5b19d2758cd177b536e15b6aee279bbf7abca818",
+    ("witness", "gerbe brauer"): "a13b9dee5b393e14bbae78e78fce7b429c32d5464c1af82226eb267565ddd1fa",
+    ("witness", "gerbe mh"): "6b8ebd4d157d43b5d31ea06838bbb6be86f9b6f1c7e9fd8dad21feaf16697fa6",
+    ("witness", "verify factorization"): "29047c4435fcb4013cfefa7f52a103e818d24f4ef96c0773420c363bd5620480",
+    ("q8", "dual"): "9cb03fd96d5e69449558167d8aadd84524964dc968559245ed80f0817c98f6af",
+    ("q8", "sha"): "ff8d3fe9ff422b0e64ba1fa8acc6f578597699a4f69aa63f3db2dd4039f4892b",
+    ("q8", "model check"): "306e0f28c9c3d8a420989fa01e3f9676cea70de741669ef17adb43c63d2ff4d4",
+    ("q8", "model search-inv"): "0f6f97150ab1396421904b770761901d6c75924c63e512328fca46779bceb6ad",
+    ("q8", "gerbe class"): "2d0d0fad4a5646a6c12e1a85e4472acaf62f270728bfc42ddb26d67b35b8cbdf",
+    ("q8", "gerbe local-sections"): "ac8d2a9e48529fb5cf03870abb4df0f8438d7e504981c26e6b36852f9f916c88",
+    ("q8", "gerbe brauer"): "f2cc54faecb8ffb2704ad4ae57bbea336c57cb97ac8e867e57a4f0c5d8cda69a",
+    ("q8", "gerbe mh"): "da554e69ec482c7f3d95d5e636bd20684900ca93e867380d835c58f414d5af12",
+    ("q8", "verify factorization"): "921b1682ac2f918f427849ea2bfb62634852d7838d785f7f8c707afc87868174",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS), ids=lambda k: "-".join(k))
+def test_json_certificate_output_bytes(key, tmp_path, capsys):
+    docname, command = key
+    raw = resources.files("gerbes.data").joinpath(f"{docname}_document.json").read_text()
+    path = tmp_path / "doc.json"
+    path.write_text(raw)
+    assert run([*command.split(), str(path), "--output", "json", "--certificates"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[key]

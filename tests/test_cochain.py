@@ -48,15 +48,18 @@ def test_cohomology_known_values():
     assert cohomology(m, 0).factors == ()  # no invariants under inversion
 
 
-def test_cohomology_size_bound():
+def test_cohomology_size_bound(monkeypatch):
+    """The dense d_n is refused before allocation, and nothing is cached."""
+    from gerbes import cochain
+
     m = trivial_module(cyclic_group(6), (2,))
-    with pytest.raises(SizeBound):
-        cohomology(m, 2, max_order=4)
-    # The bound holds on a cache hit too, and a looser one reuses the cache.
-    h2 = cohomology(m, 2)
-    with pytest.raises(SizeBound):
-        cohomology(m, 2, max_order=4)
-    assert cohomology(m, 2, max_order=100) is h2
+    # d_2 over C6 with Z/2 is 125 x 25 int64 entries, 25,000 bytes.
+    monkeypatch.setattr(cochain, "_MATRIX_BYTE_BOUND", 24_999)
+    with pytest.raises(SizeBound, match="25000 bytes"):
+        cohomology(m, 2)
+    assert m._memo == {}
+    monkeypatch.undo()
+    assert cohomology(m, 2).factors == (2,)
 
 
 def test_trivial_group_and_trivial_module_edges():
@@ -204,6 +207,7 @@ def test_dd_zero_exhaustive_on_small_groups():
     from gerbes.cochain import _differential_matrix
     from gerbes.fixtures import oracle_groups, oracle_modules
 
+    rng = random.Random(13)
     for _, group in oracle_groups():
         q = group.order - 1
         for _, module in oracle_modules(group):
@@ -214,3 +218,8 @@ def test_dd_zero_exhaustive_on_small_groups():
                 prod = up @ down
                 moduli = np.tile(factors, q ** (deg + 2))
                 assert not (prod % moduli[:, None]).any(), (group.name, deg)
+                # The matrix agrees with the cochain differential.
+                for _ in range(3):
+                    c = Cochain.random(module, deg, rng)
+                    got = down @ np.asarray(c.flat(), dtype=np.int64) % np.tile(factors, q ** (deg + 1))
+                    assert got.tolist() == differential(c).flat(), (group.name, deg)
