@@ -30,7 +30,7 @@ from .cochain import Cochain, CohomologyGroup, cohomology, restriction, solve_co
 from .errors import GerbesError, InputError, ModelAxiomFailure, SearchSpaceExceeded
 from .finab import QmodZ
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
-from .linalg import hermite_column_basis, kernel_mod, snf, solve_column_basis
+from .linalg import hermite_column_basis, kernel_mod, smith_quotient, solve_column_basis
 from .modules import GModule
 
 
@@ -244,36 +244,21 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
             rows.append([int(res_coords[j][i]) for j in range(r)])
             moduli.append(d)
 
+    eye = np.identity(r, dtype=object)
     if rows:
         e = lcm(*moduli)
-        scaled = np.asarray(
-            [[(e // m) * x for x in row] for row, m in zip(rows, moduli)], dtype=np.int64
-        )
-        kern = kernel_mod(scaled % e, e)
-        raw_basis = kern.basis_matrix()
-        generators = [[raw_basis[i][j] for i in range(r)] for j in range(r)]
+        scale = e // np.asarray(moduli, dtype=np.int64)
+        scaled = np.asarray(rows, dtype=np.int64) * scale[:, None]
+        generators = kernel_mod(scaled % e, e).basis.T
     else:
-        generators = [[1 if i == j else 0 for i in range(r)] for j in range(r)]
+        generators = eye
     basis = hermite_column_basis(generators)
 
-    rel_cols = []
-    for j, h in enumerate(amb.factors):
-        col = [0] * r
-        col[j] = h
-        rel_cols.append(solve_column_basis(basis, col))
-    c_matrix = [[rel_cols[j][i] for j in range(r)] for i in range(r)]
-    res = snf(c_matrix)
-    diag = [res.diagonal_at(i) for i in range(r)]
-    if any(d == 0 for d in diag):
-        raise GerbesError("sha quotient has a free part; relations are missing")
-    positions = [i for i, d in enumerate(diag) if d >= 2]
-    factors = tuple(diag[i] for i in positions)
+    rel_cols = [solve_column_basis(basis, h * eye[j]) for j, h in enumerate(amb.factors)]
+    factors, coeffs, _ = smith_quotient(np.array(rel_cols, dtype=object).T)
 
-    basis_cols = [list(col) for col in basis]
     gens = []
-    for p_idx in positions:
-        coeff = [res.U_inv[i][p_idx] for i in range(r)]
-        vec = [sum(basis_cols[j][i] * coeff[j] for j in range(r)) for i in range(r)]
+    for order, vec in zip(factors, (np.array(basis, dtype=object).T @ coeffs).T):
         coords = tuple(v % h for v, h in zip(vec, amb.factors))
         z = amb.cochain_from_coords(coords)
         prims = []
@@ -285,7 +270,7 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
                     f"sha generator is not locally trivial at place {p.name!r}"
                 )
             prims.append((p.name, solved.primitive))
-        gens.append(ShaGenerator(diag[p_idx], coords, z, tuple(prims)))
+        gens.append(ShaGenerator(order, coords, z, tuple(prims)))
     return ShaResult(degree, amb, factors, tuple(gens))
 
 

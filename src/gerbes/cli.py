@@ -120,7 +120,7 @@ def _emit(args, payload: dict[str, Any], text_lines: list[str]) -> None:
 
 def _cmd_cohomology(args, document: doc.Document) -> int:
     name = _only(document.modules, "module", _task(document, "cohomology", "module", args.module))
-    degree = int(_task(document, "cohomology", "degree", args.degree, 1))
+    degree = _task(document, "cohomology", "degree", args.degree, 1)
     module = document.module(name)
     h = cohomology(module, degree)
     payload = {
@@ -172,7 +172,7 @@ def _cmd_dual(args, document: doc.Document) -> int:
 
 def _cmd_sha(args, document: doc.Document) -> int:
     model = document.require_model()
-    degree = int(_task(document, "sha", "degree", args.degree, 1))
+    degree = _task(document, "sha", "degree", args.degree, 1)
     mod_name = _task(document, "sha", "module", args.module)
     ext_name = _task(document, "sha", "extension", args.extension)
     if mod_name:

@@ -31,7 +31,7 @@ from .errors import (
     SizeBound,
 )
 from .groups import Subgroup, memo
-from .linalg import Congruence, kernel_mod, snf, solve_mod
+from .linalg import Congruence, kernel_mod, smith_quotient, solve_mod
 from .modules import GModule, Pairing, restrict_module
 
 MAX_DEGREE = 3
@@ -340,12 +340,7 @@ class CohomologyGroup:
             raise DegreeTooHigh("cohomology is computed for degrees 0, 1, 2 only")
         self.module = module
         self.degree = degree
-        group = module.group
-        q = group.order - 1
-        k = module.rank
-        self._in_dim = (q**degree) * k
-        car = module.carrier
-        if k == 0:
+        if module.rank == 0:
             self.factors: tuple[int, ...] = ()
             self.representatives: tuple[Cochain, ...] = ()
             self._kernel = None
@@ -353,34 +348,19 @@ class CohomologyGroup:
 
         a_scaled, _, e = memo(module, degree, _scaled_differential, module, degree)
         self._kernel = kernel_mod(a_scaled, e)
-
-        rel = np.tile(np.asarray(car.factors, dtype=np.int64), q**degree)
-        self._rel = [int(x) for x in rel]
-        columns: list[list[int]] = []
+        # The cocycle lattice modulo [d_{n-1} | diag(carrier factors)], in
+        # kernel coordinates.
+        q = module.group.order - 1
+        relations = np.diag(np.tile(np.asarray(module.carrier.factors, dtype=object), q**degree))
         if degree >= 1:
-            b_mat = _differential_matrix(module, degree - 1)
-            for j in range(b_mat.shape[1]):
-                columns.append([int(x) for x in b_mat[:, j]])
-        for i, r in enumerate(self._rel):
-            col = [0] * self._in_dim
-            col[i] = r
-            columns.append(col)
-        coord_cols = [self._kernel.coordinates(col) for col in columns]
-        c_matrix = [[coord_cols[j][i] for j in range(len(coord_cols))] for i in range(self._in_dim)]
-        res = snf(c_matrix)
-        self._u = res.U
-        self._u_inv = res.U_inv
-        diag = [res.diagonal_at(i) for i in range(self._in_dim)]
-        if any(d == 0 for d in diag):
-            raise GerbesError("cohomology quotient has a free part; relations are missing")
-        self._positions = tuple(i for i, d in enumerate(diag) if d >= 2)
-        self.factors = tuple(diag[i] for i in self._positions)
-        reps = []
-        for p in self._positions:
-            x = [self._u_inv[r][p] for r in range(self._in_dim)]
-            vec = self._kernel.from_coordinates(x)
-            reps.append(self._vector_to_cochain(vec))
-        self.representatives = tuple(reps)
+            relations = np.hstack([_differential_matrix(module, degree - 1), relations])
+        self.factors, generators, self._reducers = smith_quotient(
+            self._kernel.coordinates(relations)
+        )
+        self.representatives = tuple(
+            Cochain(module, degree, vec.reshape(-1, module.rank))
+            for vec in (self._kernel.basis @ generators).T
+        )
         for i, rep in enumerate(self.representatives):
             want = tuple(1 if j == i else 0 for j in range(len(self.factors)))
             if self.reduce(rep) != want:
@@ -392,11 +372,6 @@ class CohomologyGroup:
         for d in self.factors:
             n *= d
         return n
-
-    def _vector_to_cochain(self, vec: Sequence[int]) -> Cochain:
-        k = self.module.rank
-        vals = [tuple(vec[s * k : (s + 1) * k]) for s in range(len(vec) // k)]
-        return Cochain(self.module, self.degree, vals)
 
     def zero_cochain(self) -> Cochain:
         return Cochain.zero(self.module, self.degree)
@@ -412,11 +387,8 @@ class CohomologyGroup:
             raise NotACocycle(f"cochain is not a {self.degree}-cocycle")
         if self.module.rank == 0:
             return ()
-        y = self._kernel.coordinates([int(v) for v in z.flat()])
-        out = []
-        for p, d in zip(self._positions, self.factors):
-            out.append(sum(self._u[p][j] * y[j] for j in range(len(y))) % d)
-        return tuple(out)
+        y = self._kernel.coordinates(z.flat())
+        return tuple(c % d for c, d in zip(self._reducers @ y, self.factors))
 
     def cochain_from_coords(self, coords: Sequence[int]) -> Cochain:
         z = self.zero_cochain()

@@ -111,7 +111,7 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
     closure_bound = max(max_group_order, DEFAULT_CLOSURE_BOUND)
     try:
         groups = {
-            name: build_group(spec, max_order=closure_bound, name=name)
+            name: build_group(_integer_entries(spec, name), max_order=closure_bound, name=name)
             for name, spec in (raw.get("groups") or {}).items()
         }
         modules = {
@@ -130,7 +130,40 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
     tasks = raw.get("tasks") or {}
     if not isinstance(tasks, dict) or not all(isinstance(t, dict) for t in tasks.values()):
         raise InputError("'tasks' must be an object whose entries are objects")
+    for command, task in tasks.items():
+        for key in ("module", "extension"):
+            if key in task and not isinstance(task[key], str):
+                raise InputError(f"task {command!r}: {key!r} must be a string")
+        if "degree" in task:
+            _integer(task["degree"], f"task {command!r} degree")
     return Document(groups, modules, extensions, model, tasks, raw)
+
+
+def _integer(value: Any, field: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values: Any, field: str) -> list[int]:
+    return [_integer(x, field) for x in values]
+
+
+def _element(key: str, field: str) -> int:
+    """An object key naming a group element: a decimal string."""
+    if not (key.isascii() and key.isdecimal()):
+        raise InputError(f"{field} key {key!r} is not a decimal element index")
+    return int(key)
+
+
+def _integer_entries(spec: dict[str, Any], name: str) -> dict[str, Any]:
+    """A group description whose table or permutations hold only integers."""
+    out = dict(spec)
+    for key in ("table", "permutations"):
+        if key in spec:
+            out[key] = [_integers(row, f"group {name!r} {key}") for row in spec[key]]
+    return out
 
 
 def _acting_group(groups: dict[str, FiniteGroup], name: str, bound: int) -> FiniteGroup:
@@ -146,8 +179,12 @@ def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup
     if "group" not in spec:
         raise InputError(f"module {name!r} is missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
-    factors = tuple(int(d) for d in spec.get("factors", ()))
-    action = {int(k): v for k, v in (spec.get("action") or {}).items()}
+    factors = tuple(_integers(spec.get("factors", []), f"module {name!r} factors"))
+    field = f"module {name!r} action"
+    action = {
+        _element(k, field): [_integers(row, field) for row in mat]
+        for k, mat in (spec.get("action") or {}).items()
+    }
     try:
         return GModule(group, FinAb(factors), action or None, name=name)
     except InputError as exc:
@@ -164,8 +201,8 @@ def _parse_extension(
     quotient = _acting_group(groups, spec["quotient"], bound)
     kernel = _lookup(groups, spec["kernel"], "group")
     try:
-        proj = GroupHom(total, quotient, [int(x) for x in spec["projection"]])
-        incl = GroupHom(kernel, total, [int(x) for x in spec["injection"]])
+        proj = GroupHom(total, quotient, _integers(spec["projection"], f"extension {name!r} projection"))
+        incl = GroupHom(kernel, total, _integers(spec["injection"], f"extension {name!r} injection"))
         return GerbeExtension(proj, incl)
     except InputError as exc:
         raise InputError(f"extension {name!r}: {exc}") from exc
@@ -176,15 +213,20 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
         raise InputError("model is missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
     mu_spec = spec.get("mu") or {}
-    modulus = int(mu_spec.get("modulus", 0))
+    modulus = _integer(mu_spec.get("modulus", 0), "model mu modulus")
     if modulus < 2:
         raise InputError("model 'mu' needs a modulus >= 2")
-    character = {int(k): int(v) for k, v in (mu_spec.get("character") or {}).items()}
+    character = {
+        _element(k, "model mu character"): _integer(v, "model mu character value")
+        for k, v in (mu_spec.get("character") or {}).items()
+    }
     mu = cyclic_module(group, modulus, character or None, name="mu")
     places = []
     for i, pspec in enumerate(spec.get("places") or []):
         pname = pspec.get("name", f"v{i}")
-        sub = Subgroup(group, tuple(int(x) for x in pspec.get("subgroup", [0])))
+        if not isinstance(pname, str):
+            raise InputError(f"place {i} name must be a string, got {pname!r}")
+        sub = Subgroup(group, tuple(_integers(pspec.get("subgroup", [0]), f"place {pname!r} subgroup")))
         inv = tuple(QmodZ.parse(str(v)) for v in pspec.get("inv", []))
         places.append(Place(pname, sub, inv))
     complete = spec.get("chebotarev_complete", False)

@@ -1,14 +1,15 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels mod n.
 
-Everything here works over plain Python integers, so results are exact at
-any size.  The only numpy use is a fast path for row reduction mod a small
-modulus, where every intermediate value stays far below 2**63.
+Exact matrices are numpy arrays of dtype ``object`` holding Python
+integers, so results are exact at any size; row reduction mod a small
+modulus uses int64 arrays, where every intermediate value stays far below
+2**63.
 
-Conventions: a matrix is a list of rows; ``snf`` returns unimodular ``U``,
-``V`` with ``U @ M @ V`` diagonal, plus their exact inverses, tracked by
-mirroring every elementary operation.  Pivot selection is deterministic
-(smallest nonzero absolute value, row-major tie break), so identical inputs
-produce identical transforms on every platform.
+``snf`` returns unimodular ``U``, ``V`` with ``U @ M @ V`` diagonal, plus
+their exact inverses, tracked by mirroring every elementary operation.
+Pivot selection is deterministic (smallest nonzero absolute value,
+row-major tie break), so identical inputs produce identical transforms on
+every platform.
 """
 
 from __future__ import annotations
@@ -20,22 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GerbesError
-
-Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    bt = list(zip(*b)) if b else []
-    return [[sum(ra[k] * bc[k] for k in range(inner)) for bc in bt] for ra in a]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -55,144 +40,122 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ M @ V = D with U, V unimodular; diag holds the diagonal of D."""
+    """U @ M @ V = D with U, V unimodular; diag holds the diagonal of D.
+
+    The four transforms are object arrays of Python integers.
+    """
 
     rows: int
     cols: int
     diag: tuple[int, ...]
-    U: Matrix
-    V: Matrix
-    U_inv: Matrix
-    V_inv: Matrix
+    U: np.ndarray
+    V: np.ndarray
+    U_inv: np.ndarray
+    V_inv: np.ndarray
 
     def diagonal_at(self, i: int) -> int:
         return self.diag[i] if i < len(self.diag) else 0
 
 
-def _verify_snf(m: Matrix, res: SNFResult) -> None:
-    d = mat_mul(mat_mul(res.U, m), res.V) if m else []
-    for i in range(res.rows):
-        for j in range(res.cols):
-            want = res.diag[i] if i == j and i < len(res.diag) else 0
-            if d[i][j] != want:
-                raise GerbesError("smith normal form round-trip check failed")
+def _verify_snf(m: np.ndarray, res: SNFResult) -> None:
+    d = np.zeros((res.rows, res.cols), dtype=object)
+    at = np.arange(len(res.diag))
+    d[at, at] = res.diag
+    if not np.array_equal(res.U @ m @ res.V, d):
+        raise GerbesError("smith normal form round-trip check failed")
     for mat, inv in ((res.U, res.U_inv), (res.V, res.V_inv)):
-        prod = mat_mul(mat, inv)
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                if prod[i][j] != (1 if i == j else 0):
-                    raise GerbesError("smith normal form transform inverse check failed")
+        if not np.array_equal(mat @ inv, np.identity(len(mat), dtype=object)):
+            raise GerbesError("smith normal form transform inverse check failed")
 
 
-def snf(m: Sequence[Sequence[int]]) -> SNFResult:
+def snf(m: Sequence[Sequence[int]] | np.ndarray) -> SNFResult:
     """Smith normal form with transforms and their exact inverses.
 
-    The returned diagonal satisfies d_i >= 0 and d_i | d_{i+1}.  The
+    ``m`` is a list of rows or an integer array; an object array must hold
+    Python ints, since an ``np.int64`` entry would overflow silently.  The
+    returned diagonal satisfies d_i >= 0 and d_i | d_{i+1}.  The
     factorization is re-verified exactly before returning.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    u, u_inv = identity_matrix(rows), identity_matrix(rows)
-    v, v_inv = identity_matrix(cols), identity_matrix(cols)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_add(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= q * r[i]
-
-    def col_add(i, j, q):
-        # col_i += q * col_j
-        for r in a:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        where = None
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    where = (i, j)
-                    if best == 1:
-                        return where
-        return where
-
-    n = min(rows, cols)
-    for t in range(n):
+    m = np.array(m, dtype=object).reshape(rows, cols)
+    a = m.copy()
+    u, u_inv = np.identity(rows, dtype=object), np.identity(rows, dtype=object)
+    v, v_inv = np.identity(cols, dtype=object), np.identity(cols, dtype=object)
+    for t in range(min(rows, cols)):
         while True:
-            where = find_pivot(t)
-            if where is None:
+            block = np.abs(a[t:, t:]).ravel()
+            live = np.flatnonzero(block)
+            if live.size == 0:
                 break
-            if where[0] != t:
-                row_swap(t, where[0])
-            if where[1] != t:
-                col_swap(t, where[1])
-            p = a[t][t]
-            # Reduce column t, then row t, against the pivot.
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    row_add(i, t, -(a[i][t] // p))
-            if any(a[i][t] for i in range(t + 1, rows)):
+            i, j = divmod(int(live[np.argmin(block[live])]), cols - t)
+            if i:
+                i += t
+                a[[t, i]] = a[[i, t]]
+                u[[t, i]] = u[[i, t]]
+                u_inv[:, [t, i]] = u_inv[:, [i, t]]
+            if j:
+                j += t
+                a[:, [t, j]] = a[:, [j, t]]
+                v[:, [t, j]] = v[:, [j, t]]
+                v_inv[[t, j]] = v_inv[[j, t]]
+            p = a[t, t]
+            # Reduce column t, then row t, against the pivot: row_i += q_i row_t
+            # for every i > t, then col_j += q_j col_t for every j > t.
+            q = -(a[t + 1 :, t] // p)
+            if q.any():
+                a[t + 1 :] += q[:, None] * a[t]
+                u[t + 1 :] += q[:, None] * u[t]
+                u_inv[:, t] -= u_inv[:, t + 1 :] @ q
+            if a[t + 1 :, t].any():
                 continue  # a remainder smaller than |p| appeared
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_add(j, t, -(a[t][j] // p))
-            if any(a[t][j] for j in range(t + 1, cols)):
+            q = -(a[t, t + 1 :] // p)
+            if q.any():
+                a[:, t + 1 :] += a[:, t, None] * q
+                v[:, t + 1 :] += v[:, t, None] * q
+                v_inv[t] -= q @ v_inv[t + 1 :]
+            if a[t, t + 1 :].any():
                 continue
             # Make the pivot divide every remaining entry, so the final
             # diagonal satisfies the chain with no post-processing.
-            bad = None
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            bad = np.flatnonzero((a[t + 1 :, t + 1 :] % p).any(axis=1))
+            if bad.size == 0:
                 break
-            row_add(t, bad, 1)
-        if where is None:
+            b = t + 1 + int(bad[0])
+            a[t] += a[b]
+            u[t] += u[b]
+            u_inv[:, b] -= u_inv[:, t]
+        if live.size == 0:
             break
-        if a[t][t] < 0:
-            row_negate(t)
+        if a[t, t] < 0:
+            a[t] = -a[t]
+            u[t] = -u[t]
+            u_inv[:, t] = -u_inv[:, t]
 
-    diag = tuple(a[i][i] for i in range(n))
+    diag = tuple(a[i, i] for i in range(min(rows, cols)))
     res = SNFResult(rows, cols, diag, u, v, u_inv, v_inv)
-    _verify_snf([list(row) for row in m], res)
+    _verify_snf(m, res)
     return res
 
 
-def hermite_column_basis(generators: Sequence[Sequence[int]]) -> Matrix:
+def smith_quotient(relations: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Z^dim modulo the lattice spanned by the columns of ``relations``.
+
+    Returns the invariant factors d >= 2 of the quotient, the generator
+    columns (from ``U_inv``) and the reducer rows (from ``U``): the class of
+    y has coordinates ``reducers @ y`` mod the factors, and the k-th
+    generator column has coordinates e_k.  Raises if the quotient is
+    infinite.
+    """
+    res = snf(relations)
+    diag = [res.diagonal_at(i) for i in range(res.rows)]
+    if 0 in diag:
+        raise GerbesError("quotient has a free part; relations are missing")
+    keep = [i for i, d in enumerate(diag) if d >= 2]
+    return tuple(diag[i] for i in keep), res.U_inv[:, keep], res.U[keep]
+
+
+def hermite_column_basis(generators: Sequence[Sequence[int]]) -> list[list[int]]:
     """Canonical column-Hermite basis of the lattice spanned by ``generators``.
 
     ``generators`` are column vectors (each a list of length ``dim``).  The
@@ -201,7 +164,6 @@ def hermite_column_basis(generators: Sequence[Sequence[int]]) -> Matrix:
     spanned lattice, not on generator order.
     """
     cols = [list(g) for g in generators]
-    dim = len(cols[0]) if cols else 0
     basis: list[list[int]] = []
     pivots: list[int] = []
     for col in cols:
@@ -262,14 +224,15 @@ def _unit_scaling(a: int, e: int) -> int:
     return u % e
 
 
-def howell_reduce_rows(a: np.ndarray, e: int) -> Matrix:
+def howell_reduce_rows(a: np.ndarray, e: int) -> np.ndarray:
     """Howell-style row reduction of the rows of ``a`` over Z/e.
 
     The output rows span the same Z/e-module as the input rows, are in
     echelon order with one pivot per column, and include the annihilator
     closure: together these make greedy back-substitution complete for
     solving and membership.  Entries stay reduced into [0, e), so int64
-    arithmetic is exact for any e below 2**30.
+    arithmetic is exact for any e below 2**30.  Returns an int64 array
+    with one row per pivot and as many columns as ``a``.
     """
     if e >= 1 << 30:
         raise GerbesError("modulus too large for the int64 reduction path")
@@ -304,52 +267,40 @@ def howell_reduce_rows(a: np.ndarray, e: int) -> Matrix:
             pivots[c] = new_p
             if g != 1:
                 stack.append(((e // g) * new_p) % e)
-    return [[int(x) for x in pivots[c]] for c in sorted(pivots)]
+    rows = [pivots[c] for c in sorted(pivots)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), np.shape(a)[1])
 
 
 @dataclass(frozen=True)
 class LatticeKernel:
-    """Basis data for K = {x in Z^cols : A x == 0 mod e}.
+    """K = {x in Z^cols : A x == 0 mod e}, with exact object arrays.
 
-    The basis is V @ diag(m); membership coordinates come from V_inv.
+    The basis columns are V @ diag(m); coordinates come from V_inv.
     """
 
-    cols: int
-    modulus: int
-    V: Matrix
-    V_inv: Matrix
-    multipliers: tuple[int, ...]
+    basis: np.ndarray
+    V_inv: np.ndarray
+    multipliers: np.ndarray
 
-    def basis_matrix(self) -> Matrix:
-        return [
-            [self.V[i][j] * self.multipliers[j] for j in range(self.cols)]
-            for i in range(self.cols)
-        ]
-
-    def coordinates(self, x: Sequence[int]) -> list[int]:
-        y = mat_vec(self.V_inv, x)
-        out = []
-        for yi, mi in zip(y, self.multipliers):
-            if yi % mi:
-                raise GerbesError("vector is not in the kernel lattice")
-            out.append(yi // mi)
-        return out
-
-    def from_coordinates(self, c: Sequence[int]) -> list[int]:
-        scaled = [ci * mi for ci, mi in zip(c, self.multipliers)]
-        return mat_vec(self.V, scaled)
+    def coordinates(self, x: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Coordinates in ``basis`` of a vector, or of each column of a matrix."""
+        y = self.V_inv @ np.asarray(x, dtype=object)
+        m = self.multipliers if y.ndim == 1 else self.multipliers[:, None]
+        if (y % m).any():
+            raise GerbesError("vector is not in the kernel lattice")
+        return y // m
 
 
 def kernel_mod(a: np.ndarray, e: int) -> LatticeKernel:
     """Kernel lattice of ``a`` mod ``e`` (rows may exceed columns freely)."""
     cols = int(a.shape[1])
     reduced = howell_reduce_rows(a, e)
-    if not reduced:
-        mult = tuple(1 for _ in range(cols))
-        return LatticeKernel(cols, e, identity_matrix(cols), identity_matrix(cols), mult)
+    if not len(reduced):
+        ident = np.identity(cols, dtype=object)
+        return LatticeKernel(ident, ident, np.ones(cols, dtype=object))
     res = snf(reduced)
-    mult = tuple(e // gcd(res.diagonal_at(i), e) for i in range(cols))
-    return LatticeKernel(cols, e, res.V, res.V_inv, mult)
+    mult = np.array([e // gcd(res.diagonal_at(i), e) for i in range(cols)], dtype=object)
+    return LatticeKernel(res.V * mult, res.V_inv, mult)
 
 
 @dataclass(frozen=True)
@@ -371,7 +322,7 @@ def solve_mod(a: np.ndarray, y: Sequence[int], e: int) -> tuple[list[int] | None
     """
     cols = int(a.shape[1])
     aug = np.concatenate([a.astype(np.int64), np.asarray([y], dtype=np.int64).T], axis=1)
-    rows = howell_reduce_rows(aug, e)
+    rows = howell_reduce_rows(aug, e).tolist()
     x = [0] * cols
     failed: list[Congruence] = []
     for row in reversed(rows):

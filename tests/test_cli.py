@@ -1,8 +1,15 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbes.cli import run
 from gerbes.document import canonical_json
@@ -197,6 +204,22 @@ MALFORMED = {
     "character-key": _set(["model", "mu", "character"], {"x": 3}),
     "task-not-object": _set(["tasks"], {"mh": 3}),
     "chebotarev-not-boolean": _set(["model", "chebotarev_complete"], "no"),
+    "task-degree-string": _set(["tasks", "cohomology", "degree"], "x"),
+    "task-degree-null": _set(["tasks", "cohomology", "degree"], None),
+    "task-sha-degree-string": _set(["tasks", "sha", "degree"], "x"),
+    "task-extension-list": _set(["tasks", "mh", "extension"], []),
+    "place-name-number": _set(["model", "places", 0, "name"], 0),
+    "modulus-float": _set(["model", "mu", "modulus"], 4.5),
+    "subgroup-float": _set(["model", "places", 0, "subgroup"], [0, 2.9]),
+    "character-float": _set(["model", "mu", "character", "1"], 3.9),
+    "character-key-signed": _set(["model", "mu", "character"], {"+1": 3, "3": 3}),
+    "action-float": _set(["modules", "M", "action", "1"], [[3.2]]),
+    "action-key-signed": _set(["modules", "M", "action"], {"+1": [[3]], "3": [[3]]}),
+    "factor-float": _set(["modules", "M", "factors"], [4.0]),
+    "projection-float": _set(["extensions", "E", "projection", 1], 1.5),
+    "injection-float": _set(["extensions", "E", "injection", 1], 4.0),
+    "table-float": _set(["groups", "G", "table", 1, 1], 2.0),
+    "permutations-float": _set(["groups", "P"], {"permutations": [[1.0, 0]]}),
 }
 
 
@@ -208,6 +231,42 @@ def test_malformed_document_exits_2(probe, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["gerbe", "mh", str(path), "--expect-zero"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+SHIPPED = {
+    name: json.loads(resources.files("gerbes.data").joinpath(f"{name}_document.json").read_text())
+    for name in ("witness", "q8")
+}
+FUZZ_VALUES = ["x", -1, 10**30, None, [], {}, 1.5, True]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A shipped document with one JSON path set to a junk value.
+
+    The path is a random walk from the root that stops at each level with
+    probability 1/2, so shallow fields are not drowned out by table cells.
+    """
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    node, path = doc, []
+    while isinstance(node, (dict, list)) and node and not (path and draw(st.booleans())):
+        path.append(draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    _set(path, draw(st.sampled_from(FUZZ_VALUES)))(doc)
+    return doc
+
+
+@given(fuzzed_documents(), st.sampled_from(DOCUMENT_COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=600)
+def test_fuzzed_document_exits_cleanly(doc, command):
+    """No mutated document makes a command raise or leave the exit-code range."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = run([*command, path, "--output", "json"])
+    assert rc in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("command", DOCUMENT_COMMANDS, ids=" ".join)

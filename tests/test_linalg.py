@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,6 @@ from gerbes.errors import GerbesError
 from gerbes.linalg import (
     hermite_column_basis,
     kernel_mod,
-    mat_mul,
-    mat_vec,
     snf,
     solve_column_basis,
     solve_mod,
@@ -58,6 +59,41 @@ def test_snf_empty_and_rectangular():
     assert res.diag == (2,)
 
 
+def _transforms(res):
+    return [t.tolist() for t in (res.U, res.V, res.U_inv, res.V_inv)]
+
+
+def _all_python_ints(res):
+    return all(type(x) is int for t in _transforms(res) for row in t for x in row)
+
+
+def test_snf_transforms_are_pinned():
+    """Pivot order and elementary operations fix the transforms exactly."""
+    res = snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert res.diag == (2, 6, 12)
+    assert _transforms(res) == [
+        [[1, 0, 0], [2, -1, -1], [3, -4, -3]],
+        [[1, -2, 2], [0, 1, -2], [0, 0, 1]],
+        [[1, 0, 0], [-3, 3, -1], [5, -4, 1]],
+        [[1, 2, 2], [0, 1, 2], [0, 0, 1]],
+    ]
+    assert _all_python_ints(res)
+
+
+def test_snf_transforms_past_int64_are_pinned():
+    rng = random.Random(0)
+    m = [
+        [rng.choice((1, -1)) * rng.randrange(10**9 - 10**3, 10**9 + 10**3) for _ in range(6)]
+        for _ in range(6)
+    ]
+    res = snf(np.asarray(m, dtype=np.int64))
+    assert res.diag[-1] == 11432002161677145457883849913202423337359125250204
+    assert max(abs(x) for t in _transforms(res) for row in t for x in row) > 2**63
+    assert _all_python_ints(res)
+    digest = hashlib.sha256(repr((res.diag, *_transforms(res))).encode()).hexdigest()
+    assert digest == "8d61a6b77bdc4ad55e3e0e944187fbc9972f578aa68eede26595b20ad9604ef1"
+
+
 def test_hermite_basis_is_canonical():
     gens = [[2, 0], [0, 3], [2, 3]]
     b1 = hermite_column_basis(gens)
@@ -90,7 +126,7 @@ def test_kernel_mod_matches_bruteforce(rows, e):
         for x in __import__("itertools").product(range(e), repeat=3)
         if not (a @ np.asarray(x) % e).any()
     }
-    basis = kern.basis_matrix()
+    basis = kern.basis
     spanned = set()
     for coeffs in __import__("itertools").product(range(e), repeat=3):
         v = tuple(
@@ -133,8 +169,3 @@ def test_solve_mod_needs_howell_closure():
     x, failed = solve_mod(a, [1], 4)
     assert x is not None
     assert (2 * x[0] + x[1]) % 4 == 1
-
-
-def test_mat_helpers():
-    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
-    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
