@@ -15,6 +15,14 @@ A2 is exactly what makes the Brauer-Manin sum independent of all choices,
 and A3 is the Chebotarev-style completeness flag: with it, the computed
 Sha is the kernel over all cyclic subgroups; an actual number field ranges
 over all places, so faithfulness is the model author's responsibility.
+
+``check_axioms`` reports A2 per generator of the global H^2.  The verdict
+alone (``axioms_hold``, ``require_axioms``) never builds that group: with
+m the modulus of mu, each place gives a row vector l_v on C^2(D_v, mu)
+with l_v . z == m inv_v([z]) (mod m) on cocycles, and A2 holds exactly
+when Phi = sum_v l_v o res_v vanishes on Z^2(G, mu), which is one
+membership test of Phi in the row span of d_2 mod m
+(``cochain.cocycle_annihilator``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cochain import Cochain, CohomologyGroup, cohomology, restriction, solve_coboundary
+from .cochain import (
+    Cochain,
+    CohomologyGroup,
+    cocycle_annihilator,
+    cohomology,
+    restriction,
+    solve_coboundary,
+)
 from .errors import GerbesError, InputError, ModelAxiomFailure, SearchSpaceExceeded
 from .finab import QmodZ
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
@@ -156,13 +171,27 @@ class AxiomReport:
         return "; ".join(parts)
 
 
+def _a1_entries(model: ArithmeticModel) -> list[A1Entry]:
+    return [
+        A1Entry(p.name, i, d, val, d % val.order == 0)
+        for p in model.places
+        for i, (d, val) in enumerate(zip(model.local_h2(p).factors, p.inv))
+    ]
+
+
+def _a3_entry(model: ArithmeticModel) -> A3Entry:
+    if not model.chebotarev_complete:
+        return A3Entry(False, ())
+    uncovered = [
+        sub.elements
+        for sub in cyclic_subgroups(model.group)
+        if not any(p.subgroup.contains(sub) for p in model.places)
+    ]
+    return A3Entry(True, tuple(uncovered))
+
+
 def check_axioms(model: ArithmeticModel) -> AxiomReport:
     """Evaluate A1, A2, A3; failures become report entries, not exceptions."""
-    a1 = []
-    for p in model.places:
-        h2 = model.local_h2(p)
-        for i, (d, val) in enumerate(zip(h2.factors, p.inv)):
-            a1.append(A1Entry(p.name, i, d, val, d % val.order == 0))
     a2 = []
     glob = model.global_h2()
     for j, rep in enumerate(glob.representatives):
@@ -174,22 +203,39 @@ def check_axioms(model: ArithmeticModel) -> AxiomReport:
             contributions.append((p.name, val))
             total = total + val
         a2.append(A2Entry(j, tuple(contributions), total, total.is_zero()))
-    if model.chebotarev_complete:
-        uncovered = []
-        for sub in cyclic_subgroups(model.group):
-            if not any(p.subgroup.contains(sub) for p in model.places):
-                uncovered.append(sub.elements)
-        a3 = A3Entry(True, tuple(uncovered))
-    else:
-        a3 = A3Entry(False, ())
-    return AxiomReport(tuple(a1), tuple(a2), a3)
+    return AxiomReport(tuple(_a1_entries(model)), tuple(a2), _a3_entry(model))
 
 
-def require_axioms(model: ArithmeticModel) -> AxiomReport:
-    report = check_axioms(model)
-    if not report.passed:
-        raise ModelAxiomFailure(report)
-    return report
+def reciprocity_certificate(model: ArithmeticModel) -> np.ndarray | None:
+    """A2 without the global H^2; A1 must hold.
+
+    Returns y with y . d_2^S == Phi (mod m) (see the module docstring and
+    ``cochain.cocycle_annihilator``), or None when A2 fails.
+    """
+    m = model.modulus
+    q = model.group.order - 1
+    phi = np.zeros(q * q, dtype=np.int64)
+    for p in model.places:
+        lam = model.local_h2(p).functional([v.num * (m // v.den) for v in p.inv], m)
+        # Local slot (a, b) of D_v is global slot (embed[a], embed[b]).
+        embed = np.asarray(p.subgroup.as_group()[1][1:], dtype=np.int64) - 1
+        phi[(embed[:, None] * q + embed).ravel()] += lam
+    return cocycle_annihilator(model.mu, 2, phi)
+
+
+def axioms_hold(model: ArithmeticModel) -> bool:
+    """Whether A1, A2 and A3 hold, with A2 as ``reciprocity_certificate``."""
+    return (
+        all(e.ok for e in _a1_entries(model))
+        and _a3_entry(model).ok
+        and reciprocity_certificate(model) is not None
+    )
+
+
+def require_axioms(model: ArithmeticModel) -> None:
+    """Raise ModelAxiomFailure, carrying the ``check_axioms`` report, unless the axioms hold."""
+    if not axioms_hold(model):
+        raise ModelAxiomFailure(check_axioms(model))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Any
 
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
@@ -150,6 +151,17 @@ def _integers(values: Any, field: str) -> list[int]:
     return [_integer(x, field) for x in values]
 
 
+def _fraction(value: Any, field: str) -> QmodZ:
+    """A Q/Z value: a JSON string ``a`` or ``a/b`` of ASCII digits, b >= 1, gcd(a, b) = 1."""
+    parts = value.split("/") if isinstance(value, str) else []
+    if not 1 <= len(parts) <= 2 or not all(p.isascii() and p.isdecimal() for p in parts):
+        raise InputError(f"{field} values must be strings 'a' or 'a/b' of decimal digits, got {value!r}")
+    num, den = int(parts[0]), int(parts[-1]) if len(parts) == 2 else 1
+    if den < 1 or gcd(num, den) != 1:
+        raise InputError(f"{field} value {value!r} is not a reduced fraction")
+    return QmodZ.make(num, den)
+
+
 def _element(key: str, field: str) -> int:
     """An object key naming a group element: a decimal string."""
     if not (key.isascii() and key.isdecimal()):
@@ -227,7 +239,7 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
         if not isinstance(pname, str):
             raise InputError(f"place {i} name must be a string, got {pname!r}")
         sub = Subgroup(group, tuple(_integers(pspec.get("subgroup", [0]), f"place {pname!r} subgroup")))
-        inv = tuple(QmodZ.parse(str(v)) for v in pspec.get("inv", []))
+        inv = tuple(_fraction(v, f"place {pname!r} inv") for v in pspec.get("inv", []))
         places.append(Place(pname, sub, inv))
     complete = spec.get("chebotarev_complete", False)
     if not isinstance(complete, bool):

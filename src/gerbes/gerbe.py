@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithmeticModel, Place, ShaResult, check_axioms, require_axioms, sha
+from .arith import ArithmeticModel, Place, ShaResult, axioms_hold, require_axioms, sha
 from .cochain import (
     Cochain,
     CohomologyGroup,
@@ -629,7 +629,7 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
             )
         except InputError:
             continue
-        if check_axioms(cand).passed:
+        if axioms_hold(cand):
             out.append(cand)
     return out
 

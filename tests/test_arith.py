@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
+from gerbes import fixtures
 from gerbes.arith import (
     ArithmeticModel,
     Place,
+    axioms_hold,
     check_axioms,
+    reciprocity_certificate,
     require_axioms,
     search_inv_assignments,
     sha,
@@ -148,3 +153,46 @@ def test_search_inv_examples():
     assert len(empty) == 1 and empty[0].places[0].inv == ()
     with pytest.raises(SearchSpaceExceeded):
         search_inv_assignments(z2, mu, [whole, whole], bound=3)
+
+
+def _every_assignment(model):
+    """The model with each A1-consistent inv assignment, in lexicographic order."""
+    factors = [model.local_h2(p).factors for p in model.places]
+    per_place = [itertools.product(*(range(d) for d in f)) for f in factors]
+    for combo in itertools.product(*per_place):
+        places = [
+            Place(p.name, p.subgroup, tuple(QmodZ.make(a, d) for a, d in zip(c, f)))
+            for p, c, f in zip(model.places, combo, factors)
+        ]
+        yield ArithmeticModel(model.group, model.mu, places, model.chebotarev_complete)
+
+
+def _four_place_model(n, character, steps):
+    """C_n with mu = Z/4 and one place at each subgroup generated by a step."""
+    g = cyclic_group(n)
+    mu = cyclic_module(g, 4, character)
+    places = []
+    for step in steps:
+        sub = Subgroup(g, tuple(range(0, n, step)))
+        zeros = tuple(QmodZ.zero() for _ in cohomology(mu.restrict(sub), 2).factors)
+        places.append(Place(f"d{step}", sub, zeros))
+    return ArithmeticModel(g, mu, places)
+
+
+def test_reciprocity_membership_matches_check_axioms():
+    """The membership verdict equals the A2 verdict of check_axioms on every
+    assignment of every fixture model and of two four-place cyclic models."""
+    models = [getattr(fixtures, name)() for name in dir(fixtures) if name.endswith("_model")]
+    models += [
+        _four_place_model(12, None, (2, 3, 4, 6)),
+        _four_place_model(16, {x: 3 for x in range(1, 16, 2)}, (2, 4, 8, 16)),
+    ]
+    verdicts = []
+    for model in models:
+        for cand in _every_assignment(model):
+            report = check_axioms(cand)
+            want = all(e.ok for e in report.a2)
+            assert (reciprocity_certificate(cand) is not None) == want, cand.places
+            assert axioms_hold(cand) == report.passed
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,10 @@ MALFORMED = {
     "injection-float": _set(["extensions", "E", "injection", 1], 4.0),
     "table-float": _set(["groups", "G", "table", 1, 1], 2.0),
     "permutations-float": _set(["groups", "P"], {"permutations": [[1.0, 0]]}),
+    "invariant-number": _set(["model", "places", 0, "inv"], [3]),
+    "invariant-signed-denominator": _set(["model", "places", 0, "inv"], ["1/-2"]),
+    "invariant-non-ascii-digit": _set(["model", "places", 0, "inv"], ["\u0661/2"]),
+    "invariant-unreduced": _set(["model", "places", 0, "inv"], ["2/4"]),
 }
 
 
@@ -276,9 +281,14 @@ def test_max_group_order_bounds_every_command(command, witness_path, capsys):
 
 
 # SHA-256 of stdout for `COMMAND DOC --output json --certificates` on the
-# shipped documents: the byte-stable output contract.  Change a digest only
-# with a deliberate change of the output.  q8 has no module for `cohomology`.
+# shipped documents and on the C10 document of the mh-cyclic benchmark
+# (tests/data): the byte-stable output contract.  Change a digest only with
+# a deliberate change of the output.  q8 has no module for `cohomology`.
+TEST_DATA = Path(__file__).parent / "data"
 OUTPUT_DIGESTS = {
+    ("cyclic_c10", "gerbe mh"): "532faf1d6c796a172132765c0f73939dc7c82ef477aec39e97a9a7994ca48034",
+    ("cyclic_c10", "verify factorization"): "849187e8a2e046186e356bf56cb2c394bd06bc3c46fe7eb21114ca921b39e2d4",
+    ("cyclic_c10", "model check"): "e250dd21ef59f4f0af1099a7a4d9147a946d0d251f4c0eb9792faaea02020cb0",
     ("witness", "cohomology"): "7ad14cd84edce23cd574a8d999b3e99bae0eda8ff6e27ae97eeb0a8ef6e196de",
     ("witness", "dual"): "f796ab6d43e3e10bb47d48f528ff9ef687cda944580dcb4e99bc608e4c6e4218",
     ("witness", "sha"): "ba4572842c9f3a556c65bc8a2d08e3407adab9e3de3249c2096ffb83404ced93",
@@ -304,7 +314,8 @@ OUTPUT_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS), ids=lambda k: "-".join(k))
 def test_json_certificate_output_bytes(key, tmp_path, capsys):
     docname, command = key
-    raw = resources.files("gerbes.data").joinpath(f"{docname}_document.json").read_text()
+    data = TEST_DATA if docname == "cyclic_c10" else resources.files("gerbes.data")
+    raw = data.joinpath(f"{docname}_document.json").read_text()
     path = tmp_path / "doc.json"
     path.write_text(raw)
     assert run([*command.split(), str(path), "--output", "json", "--certificates"]) == 0

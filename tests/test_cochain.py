@@ -53,13 +53,49 @@ def test_cohomology_size_bound(monkeypatch):
     from gerbes import cochain
 
     m = trivial_module(cyclic_group(6), (2,))
-    # d_2 over C6 with Z/2 is 125 x 25 int64 entries, 25,000 bytes.
-    monkeypatch.setattr(cochain, "_MATRIX_BYTE_BOUND", 24_999)
-    with pytest.raises(SizeBound, match="25000 bytes"):
+    # The generator rows of d_2 over C6 with Z/2 are 25 x 25 int64 entries,
+    # 5,000 bytes.
+    monkeypatch.setattr(cochain, "_MATRIX_BYTE_BOUND", 4_999)
+    with pytest.raises(SizeBound, match="5000 bytes"):
         cohomology(m, 2)
     assert m._memo == {}
     monkeypatch.undo()
     assert cohomology(m, 2).factors == (2,)
+
+
+def test_cohomology_column_bound_refuses_c64_fast():
+    """H^2(C64, Z/2) would pass the byte bound with generator rows, but its
+    3,969-column Smith step is refused before any matrix is built."""
+    import time
+
+    m = trivial_module(cyclic_group(64), (2,))
+    start = time.perf_counter()
+    with pytest.raises(SizeBound, match="3969 cochain coordinates"):
+        cohomology(m, 2)
+    assert time.perf_counter() - start < 1.0
+    assert m._memo == {}
+
+
+def test_generator_rows_have_the_howell_form_of_d():
+    """The generator rows of the scaled d_n reduce to the same Howell rows
+    as the whole scaled d_n, so kernels and solves are unchanged."""
+    import numpy as np
+
+    from gerbes.cochain import _differential_matrix, _scaled_differential
+    from gerbes.fixtures import oracle_groups, oracle_modules
+    from gerbes.linalg import howell_reduce_rows
+
+    for _, group in oracle_groups():
+        q = group.order - 1
+        for _, module in oracle_modules(group):
+            factors = np.asarray(module.carrier.factors, dtype=np.int64)
+            for deg in (0, 1, 2):
+                rows, _, e = _scaled_differential(module, deg)
+                full = _differential_matrix(module, deg)
+                assert len(rows) < len(full) or q <= 1
+                full = full * np.tile(e // factors, q ** (deg + 1))[:, None] % e
+                got, want = howell_reduce_rows(rows, e), howell_reduce_rows(full, e)
+                assert np.array_equal(got, want), (group.name, module.carrier.factors, deg)
 
 
 def test_trivial_group_and_trivial_module_edges():

@@ -241,6 +241,24 @@ def test_mh_witness_matches_frozen_fixture():
     assert list(functional.sha.factors) == expected["sha_factors"]
 
 
+def test_mh_never_builds_the_global_h2():
+    """When the axioms hold, A2 is a membership test: m_H leaves the global
+    H^2(G, mu) unbuilt, which only an axiom report needs."""
+    from gerbes.arith import check_axioms
+    from gerbes.cochain import CohomologyGroup
+    from gerbes.document import load_document
+
+    with resources.as_file(
+        resources.files("gerbes.data").joinpath("witness_document.json")
+    ) as path:
+        docobj = load_document(str(path))
+    model = docobj.require_model()
+    assert [str(v) for v in brauer_manin(docobj.extension("E"), model).values] == ["1/2"]
+    assert (CohomologyGroup, 2) not in model.mu._memo
+    check_axioms(model)
+    assert (CohomologyGroup, 2) in model.mu._memo
+
+
 def test_mh_nonzero_witnesses():
     f1 = brauer_manin(mh_witness_extension(), witness_model())
     assert [str(v) for v in f1.values] == ["1/2"]
