@@ -22,14 +22,22 @@ m the modulus of mu, each place gives a row vector l_v on C^2(D_v, mu)
 with l_v . z == m inv_v([z]) (mod m) on cocycles, and A2 holds exactly
 when Phi = sum_v l_v o res_v vanishes on Z^2(G, mu), which is one
 membership test of Phi in the row span of d_2 mod m
-(``cochain.cocycle_annihilator``).
+(``cochain.cocycle_annihilator``).  Phi is linear in the invariant values,
+so ``search_inv_assignments`` checks A2 for every assignment at once: the
+consistent ones form the subgroup that ``cochain.cocycle_relations``
+spans, and only that subgroup is enumerated.
+
+``sha`` gets a basis that does not depend on the order of the places from
+the Hermite basis of its kernel lattice, which contains e Z^r for the lcm
+e of the local orders; ``linalg.howell_relations`` gives that lattice mod
+e and ``linalg.hermite_column_basis`` its unique Hermite basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -38,14 +46,16 @@ from .cochain import (
     Cochain,
     CohomologyGroup,
     cocycle_annihilator,
+    cocycle_relations,
     cohomology,
     restriction,
+    restriction_slots,
     solve_coboundary,
 )
 from .errors import GerbesError, InputError, ModelAxiomFailure, SearchSpaceExceeded
 from .finab import QmodZ
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
-from .linalg import hermite_column_basis, kernel_mod, smith_quotient, solve_column_basis
+from .linalg import hermite_column_basis, howell_relations, smith_quotient, solve_column_basis
 from .modules import GModule
 
 
@@ -98,9 +108,6 @@ class ArithmeticModel:
 
     def local_h2(self, place: Place) -> CohomologyGroup:
         return cohomology(self.local_mu(place), 2)
-
-    def global_h2(self) -> CohomologyGroup:
-        return cohomology(self.mu, 2)
 
     @property
     def modulus(self) -> int:
@@ -193,8 +200,7 @@ def _a3_entry(model: ArithmeticModel) -> A3Entry:
 def check_axioms(model: ArithmeticModel) -> AxiomReport:
     """Evaluate A1, A2, A3; failures become report entries, not exceptions."""
     a2 = []
-    glob = model.global_h2()
-    for j, rep in enumerate(glob.representatives):
+    for j, rep in enumerate(cohomology(model.mu, 2).representatives):
         contributions = []
         total = QmodZ.zero()
         for p in model.places:
@@ -213,13 +219,10 @@ def reciprocity_certificate(model: ArithmeticModel) -> np.ndarray | None:
     ``cochain.cocycle_annihilator``), or None when A2 fails.
     """
     m = model.modulus
-    q = model.group.order - 1
-    phi = np.zeros(q * q, dtype=np.int64)
+    phi = np.zeros((model.group.order - 1) ** 2, dtype=np.int64)
     for p in model.places:
         lam = model.local_h2(p).functional([v.num * (m // v.den) for v in p.inv], m)
-        # Local slot (a, b) of D_v is global slot (embed[a], embed[b]).
-        embed = np.asarray(p.subgroup.as_group()[1][1:], dtype=np.int64) - 1
-        phi[(embed[:, None] * q + embed).ravel()] += lam
+        phi[restriction_slots(p.subgroup, 2)] += lam
     return cocycle_annihilator(model.mu, 2, phi)
 
 
@@ -266,9 +269,13 @@ class ShaResult:
 def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
     """ker( H^degree(G, M) -> prod_v H^degree(D_v, M) ) with certificates.
 
-    Computed by integer linear algebra on class coordinates; the kernel
-    lattice is put into canonical Hermite form first, so the output does
-    not depend on the order in which places are listed.
+    Computed by integer linear algebra on class coordinates.  With e the
+    lcm of the local orders, the restriction rows are scaled to Z/e, and
+    the classes x in Z^r with rows . x == 0 (mod e) form a lattice that
+    contains e Z^r.  Mod e it is spanned by ``howell_relations`` of
+    [rows^T | I], and its Hermite basis, which is unique, starts from the
+    rows of that Howell form (``hermite_column_basis``).  So the output
+    does not depend on the order in which places are listed.
     """
     if degree not in (1, 2):
         raise InputError("sha is computed in degrees 1 and 2")
@@ -290,15 +297,11 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
             rows.append([int(res_coords[j][i]) for j in range(r)])
             moduli.append(d)
 
+    e = math.lcm(*moduli)
+    scale = e // np.asarray(moduli, dtype=np.int64)
+    scaled = np.asarray(rows, dtype=np.int64).reshape(len(rows), r) * scale[:, None]
     eye = np.identity(r, dtype=object)
-    if rows:
-        e = lcm(*moduli)
-        scale = e // np.asarray(moduli, dtype=np.int64)
-        scaled = np.asarray(rows, dtype=np.int64) * scale[:, None]
-        generators = kernel_mod(scaled % e, e).basis.T
-    else:
-        generators = eye
-    basis = hermite_column_basis(generators)
+    basis = hermite_column_basis(howell_relations(scaled.T, eye, e), e)
 
     rel_cols = [solve_column_basis(basis, h * eye[j]) for j, h in enumerate(amb.factors)]
     factors, coeffs, _ = smith_quotient(np.array(rel_cols, dtype=object).T)
@@ -330,9 +333,15 @@ def search_inv_assignments(
     """All A1+A2-consistent invariant assignments on the given places.
 
     Each generator of H^2(D_v, mu) ranges over the cyclic subgroup of Q/Z
-    of its own order; candidates are enumerated in lexicographic order and
-    filtered by reciprocity.  Raises SearchSpaceExceeded when the raw
-    product of ranges passes ``bound``.
+    of its own order d, as a/d with 0 <= a < d; the assignments are
+    listed in lexicographic order of their numerators.  A2 is linear in
+    them: with m the modulus of mu, slot s gives Psi_s, the functional
+    with weight m/d_s on its generator pulled back to C^2(G, mu), and an
+    assignment passes exactly when sum_s a_s Psi_s vanishes on the global
+    cocycles.  Those (a_s m/d_s) form the subgroup that
+    ``cochain.cocycle_relations`` spans, which is enumerated instead of the
+    whole product of ranges.  Raises SearchSpaceExceeded when that raw
+    product passes ``bound``.
     """
     zero_model = ArithmeticModel(
         group,
@@ -343,51 +352,30 @@ def search_inv_assignments(
         ],
         chebotarev_complete=chebotarev_complete,
     )
-    slots: list[tuple[int, int]] = []  # (place index, generator order)
-    for i, p in enumerate(zero_model.places):
-        for d in zero_model.local_h2(p).factors:
-            slots.append((i, d))
-    total = 1
-    for _, d in slots:
-        total *= d
-        if total > bound:
-            raise SearchSpaceExceeded(
-                f"assignment space exceeds the bound {bound}"
-            )
+    local = [zero_model.local_h2(p) for p in zero_model.places]
+    orders = [d for h2 in local for d in h2.factors]
+    if math.prod(orders) > bound:
+        raise SearchSpaceExceeded(f"assignment space exceeds the bound {bound}")
 
-    glob = zero_model.global_h2()
-    res_coords: list[list[tuple[int, int]]] = []  # per global gen: (slot, coefficient)
-    for rep in glob.representatives:
-        entry: list[tuple[int, int]] = []
-        slot = 0
-        for p in zero_model.places:
-            loc = zero_model.local_h2(p)
-            coords = loc.reduce(restriction(rep, p.subgroup))
-            for c in coords:
-                entry.append((slot, int(c)))
-                slot += 1
-        res_coords.append(entry)
-
+    m = zero_model.modulus
+    psi = np.zeros((len(orders), (group.order - 1) ** 2), dtype=np.int64)
+    slot = 0
+    for p, h2 in zip(zero_model.places, local):
+        for weights in np.diag([m // d for d in h2.factors]).tolist():
+            psi[slot, restriction_slots(p.subgroup, 2)] = h2.functional(weights, m)
+            slot += 1
+    scale = np.asarray([m // d for d in orders], dtype=np.int64)
+    rel = cocycle_relations(mu, 2, psi, np.diag(scale))
+    # Each element of the span of Howell rows r_i with pivots g_i is
+    # sum_i c_i r_i for exactly one c with 0 <= c_i < m / g_i.
+    combos = list(itertools.product(*(range(m // int(r[np.flatnonzero(r)[0]])) for r in rel)))
+    coeffs = np.asarray(combos, dtype=np.int64).reshape(len(combos), len(rel))
     models = []
-    for combo in itertools.product(*(range(d) for _, d in slots)):
-        ok = True
-        for entry in res_coords:
-            total_q = QmodZ.zero()
-            for slot, c in entry:
-                a = combo[slot]
-                d = slots[slot][1]
-                total_q = total_q + QmodZ.make(c * a, d)
-            if not total_q.is_zero():
-                ok = False
-                break
-        if not ok:
-            continue
-        values: list[list[QmodZ]] = [[] for _ in zero_model.places]
-        for (i, d), a in zip(slots, combo):
-            values[i].append(QmodZ.make(a, d))
+    for combo in sorted(map(tuple, (coeffs @ rel % m // scale).tolist())):
+        values = iter(QmodZ.make(a, d) for a, d in zip(combo, orders))
         places = [
-            Place(p.name, p.subgroup, tuple(vals))
-            for p, vals in zip(zero_model.places, values)
+            Place(p.name, p.subgroup, tuple(itertools.islice(values, len(p.inv))))
+            for p in zero_model.places
         ]
         models.append(
             ArithmeticModel(group, mu, places, chebotarev_complete=chebotarev_complete)

@@ -222,19 +222,17 @@ def _cmd_model(args, document: doc.Document) -> int:
         model.group, model.mu, subgroups, bound=args.bound,
         chebotarev_complete=model.chebotarev_complete,
     )
+    # The library names its places v0, v1, ...; label them as the document does.
+    assignments = [
+        [[q.name, [str(v) for v in p.inv]] for q, p in zip(model.places, m.places)] for m in models
+    ]
     payload = {
         "command": "model search-inv",
         "inputs": {"document": doc.echo_document(document, include_model=True)},
-        "result": {
-            "count": len(models),
-            "assignments": [
-                [[p.name, [str(v) for v in p.inv]] for p in m.places] for m in models
-            ],
-        },
+        "result": {"count": len(models), "assignments": assignments},
     }
     _emit(args, payload, [f"{len(models)} reciprocity-consistent assignments"] + [
-        "  " + "; ".join(f"{p.name}: {[str(v) for v in p.inv]}" for p in m.places)
-        for m in models
+        "  " + "; ".join(f"{name}: {values}" for name, values in a) for a in assignments
     ])
     return 0
 

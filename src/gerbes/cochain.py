@@ -33,7 +33,7 @@ from .errors import (
     SizeBound,
 )
 from .groups import Subgroup, memo, spanning_tree
-from .linalg import Congruence, kernel_mod, smith_quotient, solve_mod
+from .linalg import Congruence, howell_relations, kernel_mod, smith_quotient, solve_mod
 from .modules import GModule, Pairing, restrict_module
 
 MAX_DEGREE = 3
@@ -243,16 +243,28 @@ def is_cocycle(c: Cochain) -> bool:
     return not _differential_array(c).any()
 
 
+def _restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
+    group, embed = sub.as_group()
+    q = group.order - 1
+    local = _digits(q**degree, degree, q)
+    return _rank_of_digits(np.asarray(embed, dtype=np.int64)[local], sub.parent.order - 1)
+
+
+def restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
+    """For each slot of a degree-n cochain on the subgroup, its slot on the parent.
+
+    Local slot (a_1, ..., a_n) is parent slot (embed[a_1], ..., embed[a_n]),
+    so restriction is a gather through this map and pulling a row vector
+    back from the subgroup is a scatter through it.
+    """
+    return memo(sub.parent, (sub.elements, degree), _restriction_slots, sub, degree)
+
+
 def restriction(z: Cochain, sub: Subgroup) -> Cochain:
     """Pull a cochain back to a subgroup (values on tuples from the subgroup)."""
     module = restrict_module(z.module, sub)
-    group, embed = sub.as_group()
-    q = group.order - 1
-    vals = [
-        z.value(*(embed[g] for g in t))
-        for t in itertools.product(range(1, q + 1), repeat=z.degree)
-    ]
-    return Cochain(module, z.degree, vals)
+    vals = z.values
+    return Cochain(module, z.degree, [vals[i] for i in restriction_slots(sub, z.degree).tolist()])
 
 
 def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
@@ -512,6 +524,20 @@ def cocycle_annihilator(module: GModule, degree: int, phi: Sequence[int]) -> np.
     if ((np.asarray(y, dtype=object) @ rows - phi) % e).any():
         raise GerbesError("cocycle annihilator certificate failed its exact check")
     return np.asarray(y, dtype=np.int64)
+
+
+def cocycle_relations(module: GModule, degree: int, phis: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """Howell rows spanning {c @ tags : c @ phis vanishes on every cocycle} over Z/e.
+
+    ``phis`` holds one row vector on C^degree per row, in the coordinates
+    of ``_scaled_differential``.  As in ``cocycle_annihilator``, c @ phis
+    kills the cocycles exactly when it lies in the row span of d_degree^S,
+    so these are ``linalg.howell_relations`` of [d_degree^S ; phis] against
+    [0 ; tags].
+    """
+    rows, _, e = memo(module, degree, _scaled_differential, module, degree)
+    zeros = np.zeros((len(rows), tags.shape[1]), dtype=np.int64)
+    return howell_relations(np.vstack([rows, phis]), np.vstack([zeros, tags]), e)
 
 
 def random_cocycle(coh: CohomologyGroup, rng: random.Random) -> Cochain:

@@ -8,6 +8,7 @@ permutation closures label elements by sorted permutation tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -131,12 +132,6 @@ class FiniteGroup:
                     raise NonAssociative(f"inverse anti-homomorphism fails at ({a}, {b})")
         return tuple(inv)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conjugate(self, g: int, h: int) -> int:
         """g h g^-1."""
         return self.table[self.table[g][h]][self.inv[g]]
@@ -144,9 +139,6 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         """a b a^-1 b^-1."""
         return self.table[self.conjugate(a, b)][self.inv[b]]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def element_order(self, a: int) -> int:
         n, x = 1, a
@@ -276,7 +268,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     gens = [[1, 0] + list(range(2, n))]
     if n > 2:
         gens.append(list(range(1, n)) + [0])
-    return from_permutations(gens, max_order=math_factorial(n), name=f"S{n}")
+    return from_permutations(gens, max_order=math.factorial(n), name=f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -288,14 +280,7 @@ def alternating_group(n: int) -> FiniteGroup:
             gens.append(list(range(1, n)) + [0])
         else:
             gens.append([0] + list(range(2, n)) + [1])
-    return from_permutations(gens, max_order=math_factorial(n), name=f"A{n}")
-
-
-def math_factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return from_permutations(gens, max_order=math.factorial(n), name=f"A{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -492,9 +477,6 @@ class GroupHom:
     @cached_property
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.domain.order
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.domain, tuple(a for a, x in enumerate(self.images) if x == 0))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith and Hermite forms, kernels mod n.
+"""Exact integer linear algebra: Smith, Howell and Hermite forms, kernels mod n.
 
 Exact matrices are numpy arrays of dtype ``object`` holding Python
 integers, so results are exact at any size; row reduction mod a small
@@ -155,42 +155,23 @@ def smith_quotient(relations: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, 
     return tuple(diag[i] for i in keep), res.U_inv[:, keep], res.U[keep]
 
 
-def hermite_column_basis(generators: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical column-Hermite basis of the lattice spanned by ``generators``.
+def hermite_column_basis(generators: np.ndarray | Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """Hermite basis of the lattice spanned by ``generators`` and ``modulus`` Z^dim.
 
-    ``generators`` are column vectors (each a list of length ``dim``).  The
-    result is a list of basis columns, in echelon order with positive pivots
-    and entries to the right of each pivot reduced; it depends only on the
-    spanned lattice, not on generator order.
+    ``generators`` are vectors of length dim, one per row.  The result has
+    one vector per coordinate c, whose first nonzero entry (the pivot) is
+    positive and at c, and every earlier vector's entry at c lies in
+    [0, pivot); a lattice of full rank has exactly one such basis.  The
+    Howell rows mod ``modulus``, with ``modulus`` e_c at each column
+    without a pivot, are a basis of the lattice; they are reduced here.
     """
-    cols = [list(g) for g in generators]
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for col in cols:
-        work = col
-        for b, p in zip(basis, pivots):
-            if work[p]:
-                g, s, t = xgcd(b[p], work[p])
-                nb = [s * x + t * y for x, y in zip(b, work)]
-                work = [(b[p] // g) * y - (work[p] // g) * x for x, y in zip(b, work)]
-                b[:] = nb
-        r = next((i for i, x in enumerate(work) if x), None)
-        if r is not None:
-            if work[r] < 0:
-                work = [-x for x in work]
-            basis.append(work)
-            pivots.append(r)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    basis = [basis[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    # Second pass: full echelon (clear above pivots) for canonicality.
-    for i in range(len(basis) - 1, -1, -1):
-        p = pivots[i]
-        for j in range(i):
-            if basis[j][p]:
-                q = basis[j][p] // basis[i][p]
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return basis
+    howell = howell_reduce_rows(np.asarray(generators), modulus)
+    basis = modulus * np.identity(howell.shape[1], dtype=object)
+    for row in howell:
+        basis[np.flatnonzero(row)[0]] = row
+    for c in range(len(basis)):
+        basis[:c] -= (basis[:c, c] // basis[c, c])[:, None] * basis[c]
+    return basis.tolist()
 
 
 def solve_column_basis(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list[int]:
@@ -225,14 +206,17 @@ def _unit_scaling(a: int, e: int) -> int:
 
 
 def howell_reduce_rows(a: np.ndarray, e: int) -> np.ndarray:
-    """Howell-style row reduction of the rows of ``a`` over Z/e.
+    """Howell form (Howell 1986), unreduced above the pivots, of the rows of ``a`` over Z/e.
 
     The output rows span the same Z/e-module as the input rows, are in
-    echelon order with one pivot per column, and include the annihilator
-    closure: together these make greedy back-substitution complete for
-    solving and membership.  Entries stay reduced into [0, e), so int64
-    arithmetic is exact for any e below 2**30.  Returns an int64 array
-    with one row per pivot and as many columns as ``a``.
+    echelon order with one pivot per column, each pivot a divisor of e,
+    and include the annihilator closure: (e/g) r lies in the span of the
+    later rows for each row r with pivot g.  So for every k the rows with
+    pivot at or after column k span all of the span that vanishes before
+    column k, which makes greedy back-substitution complete for solving
+    and membership.  Entries stay reduced into [0, e), so int64 arithmetic
+    is exact for any e below 2**30.  Returns an int64 array with one row
+    per pivot and as many columns as ``a``.
     """
     if e >= 1 << 30:
         raise GerbesError("modulus too large for the int64 reduction path")
@@ -269,6 +253,18 @@ def howell_reduce_rows(a: np.ndarray, e: int) -> np.ndarray:
                 stack.append(((e // g) * new_p) % e)
     rows = [pivots[c] for c in sorted(pivots)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), np.shape(a)[1])
+
+
+def howell_relations(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """Rows spanning {c @ b : c @ a == 0 (mod e)} over Z/e, in Howell form.
+
+    They are the ``b`` parts of the rows of the Howell form of [a | b]
+    whose ``a`` part is zero, which span exactly the vectors of the row
+    span that vanish on the ``a`` columns.
+    """
+    width = np.shape(a)[1]
+    rows = howell_reduce_rows(np.hstack([a, b]), e)
+    return rows[~rows[:, :width].any(axis=1), width:]
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from gerbes.fixtures import (
     gw_module,
     witness_model,
 )
-from gerbes.groups import Subgroup, cyclic_group, klein_four_group
-from gerbes.modules import cyclic_module, trivial_module
+from gerbes.finab import FinAb
+from gerbes.groups import FiniteGroup, Subgroup, cyclic_group, klein_four_group
+from gerbes.modules import GModule, cyclic_module, trivial_module
 
 
 def test_place_length_validation():
@@ -133,6 +134,20 @@ def test_sha_place_permutation_invariance():
     assert a.factors == b.factors
     assert [g.cochain.values for g in a.generators] == [g.cochain.values for g in b.generators]
 
+    # Sha^2 of V4 with M = (Z/4)^2 at the three order-2 subgroups.  A
+    # Hermite pass that depended on generator order put the lattice basis
+    # off the lattice for four of these six orders.
+    v4 = FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    m = GModule(v4, FinAb((4, 4)), {1: [[1, 0], [0, 3]], 2: [[1, 0], [0, 3]]})
+    mu = cyclic_module(v4, 2)
+    places = [Place(f"c{i}", Subgroup(v4, (0, i)), (QmodZ.zero(),)) for i in (1, 2, 3)]
+    results = [
+        sha(ArithmeticModel(v4, mu, [places[i] for i in order]), m, 2)
+        for order in itertools.permutations(range(3))
+    ]
+    assert {r.factors for r in results} == {(2,)}
+    assert len({tuple(g.cochain.values for g in r.generators) for r in results}) == 1
+
 
 def test_sha_degree_two():
     model = witness_model()
@@ -189,10 +204,18 @@ def test_reciprocity_membership_matches_check_axioms():
     ]
     verdicts = []
     for model in models:
+        passing = []
         for cand in _every_assignment(model):
             report = check_axioms(cand)
             want = all(e.ok for e in report.a2)
             assert (reciprocity_certificate(cand) is not None) == want, cand.places
             assert axioms_hold(cand) == report.passed
             verdicts.append(want)
+            if want and all(e.ok for e in report.a1):
+                passing.append([p.inv for p in cand.places])
+        found = search_inv_assignments(
+            model.group, model.mu, [p.subgroup for p in model.places],
+            chebotarev_complete=model.chebotarev_complete,
+        )
+        assert [[p.inv for p in m.places] for m in found] == passing
     assert True in verdicts and False in verdicts

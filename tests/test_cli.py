@@ -158,6 +158,13 @@ def test_q8_document_commands(tmp_path, capsys):
     assert run(["gerbe", "class", str(path), "--output", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["is_trivial"] is True  # semidirect products split
+    # search-inv labels assignments with the document's place names.
+    assert run(["model", "search-inv", str(path), "--output", "json"]) == 0
+    assignments = json.loads(capsys.readouterr().out)["result"]["assignments"]
+    assert assignments and all([name for name, _ in a] == ["p1", "p2", "p3"] for a in assignments)
+    assert run(["model", "search-inv", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines and all(line.startswith("  p1: ") for line in lines)
 
 
 def test_json_output_round_trips(witness_path, tmp_path, capsys):
@@ -302,7 +309,7 @@ OUTPUT_DIGESTS = {
     ("q8", "dual"): "9cb03fd96d5e69449558167d8aadd84524964dc968559245ed80f0817c98f6af",
     ("q8", "sha"): "ff8d3fe9ff422b0e64ba1fa8acc6f578597699a4f69aa63f3db2dd4039f4892b",
     ("q8", "model check"): "306e0f28c9c3d8a420989fa01e3f9676cea70de741669ef17adb43c63d2ff4d4",
-    ("q8", "model search-inv"): "0f6f97150ab1396421904b770761901d6c75924c63e512328fca46779bceb6ad",
+    ("q8", "model search-inv"): "ff3af4d7db83f94daa586ada39f99d5200f560b393df65838e3040d5956aed9f",
     ("q8", "gerbe class"): "2d0d0fad4a5646a6c12e1a85e4472acaf62f270728bfc42ddb26d67b35b8cbdf",
     ("q8", "gerbe local-sections"): "ac8d2a9e48529fb5cf03870abb4df0f8438d7e504981c26e6b36852f9f916c88",
     ("q8", "gerbe brauer"): "f2cc54faecb8ffb2704ad4ae57bbea336c57cb97ac8e867e57a4f0c5d8cda69a",

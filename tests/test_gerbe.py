@@ -242,9 +242,10 @@ def test_mh_witness_matches_frozen_fixture():
 
 
 def test_mh_never_builds_the_global_h2():
-    """When the axioms hold, A2 is a membership test: m_H leaves the global
-    H^2(G, mu) unbuilt, which only an axiom report needs."""
-    from gerbes.arith import check_axioms
+    """When the axioms hold, A2 is a membership test: m_H and the search for
+    consistent invariants leave the global H^2(G, mu) unbuilt, which only
+    an axiom report needs."""
+    from gerbes.arith import check_axioms, search_inv_assignments
     from gerbes.cochain import CohomologyGroup
     from gerbes.document import load_document
 
@@ -254,6 +255,8 @@ def test_mh_never_builds_the_global_h2():
         docobj = load_document(str(path))
     model = docobj.require_model()
     assert [str(v) for v in brauer_manin(docobj.extension("E"), model).values] == ["1/2"]
+    assert (CohomologyGroup, 2) not in model.mu._memo
+    assert len(search_inv_assignments(model.group, model.mu, [p.subgroup for p in model.places])) == 2
     assert (CohomologyGroup, 2) not in model.mu._memo
     check_axioms(model)
     assert (CohomologyGroup, 2) in model.mu._memo

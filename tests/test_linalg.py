@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gerbes.errors import GerbesError
 from gerbes.linalg import (
     hermite_column_basis,
+    howell_relations,
     kernel_mod,
     snf,
     solve_column_basis,
@@ -94,19 +96,91 @@ def test_snf_transforms_past_int64_are_pinned():
     assert digest == "8d61a6b77bdc4ad55e3e0e944187fbc9972f578aa68eede26595b20ad9604ef1"
 
 
+def _is_hermite(basis):
+    """Echelon with one pivot per coordinate, positive pivots, entries above them reduced."""
+    for c, vec in enumerate(basis):
+        if any(vec[:c]) or vec[c] <= 0:
+            return False
+        if any(not 0 <= basis[k][c] < vec[c] for k in range(c)):
+            return False
+    return True
+
+
 def test_hermite_basis_is_canonical():
     gens = [[2, 0], [0, 3], [2, 3]]
-    b1 = hermite_column_basis(gens)
-    b2 = hermite_column_basis(list(reversed(gens)))
+    b1 = hermite_column_basis(gens, 6)
+    b2 = hermite_column_basis(list(reversed(gens)), 6)
     assert b1 == b2
     for g in gens:
         coeffs = solve_column_basis(b1, g)
         got = [sum(b1[j][i] * coeffs[j] for j in range(len(b1))) for i in range(2)]
         assert got == g
 
+    # A lattice of index 56 with quotient Z/2 x Z/2 x Z/14, so it contains
+    # 14 Z^3: every ordering of its generators gives one Hermite basis.
+    gens = [[4, 0, 2], [2, 2, 0], [0, 6, 4], [6, 2, 2]]
+    bases = {
+        tuple(map(tuple, hermite_column_basis(list(order), 14)))
+        for order in itertools.permutations(gens)
+    }
+    assert bases == {((2, 0, 8), (0, 2, 6), (0, 0, 14))}
+    basis = [list(v) for v in bases.pop()]
+    assert _is_hermite(basis)
+    for g in gens:
+        solve_column_basis(basis, g)
+
+
+@given(
+    st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=1, max_size=5),
+    st.sampled_from([1, 2, 4, 6, 8, 12]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_hermite_basis_of_seeded_lattices(gens, e, rng):
+    """The lattice spanned by gens and e Z^3 has one Hermite basis, whatever
+    the generator order, and the basis spans exactly that lattice."""
+    basis = hermite_column_basis(gens, e)
+    assert _is_hermite(basis)
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert hermite_column_basis(shuffled, e) == basis
+    for v in [*gens, *(e * np.identity(3, dtype=int)).tolist()]:
+        solve_column_basis(basis, v)
+    assert basis[0][0] * basis[1][1] * basis[2][2] == _index(gens, e)
+
+
+def _index(gens, e):
+    """|Z^3 / (span(gens) + e Z^3)| by counting the span mod e."""
+    span = {(0, 0, 0)}
+    for g in gens:
+        span = {tuple((x + k * y) % e for x, y in zip(v, g)) for v in span for k in range(e)}
+    return e**3 // len(span)
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.sampled_from([2, 4, 6]),
+)
+@settings(max_examples=100, deadline=None)
+def test_howell_relations_match_bruteforce(rows, e):
+    """howell_relations(a, b, e) spans {c @ b : c @ a == 0 mod e}."""
+    m = np.asarray(rows, dtype=np.int64)
+    a, b = m[:, :2], m[:, 2:]
+    rel = howell_relations(a, b, e)
+    want = {
+        tuple(np.asarray(c) @ b % e)
+        for c in itertools.product(range(e), repeat=len(rows))
+        if not (np.asarray(c) @ a % e).any()
+    }
+    got = {
+        tuple(np.asarray(c, dtype=np.int64) @ rel.reshape(-1, 2) % e)
+        for c in itertools.product(range(e), repeat=len(rel))
+    }
+    assert got == want
+
 
 def test_solve_column_basis_rejects_outside():
-    basis = hermite_column_basis([[2, 0], [0, 2]])
+    basis = hermite_column_basis([[2, 0], [0, 2]], 2)
     with pytest.raises(GerbesError):
         solve_column_basis(basis, [1, 0])
 
