@@ -6,8 +6,9 @@ canonical machine-readable document with sorted keys.
 
 Exit codes: 0 success / property holds; 1 a computation found an
 obstruction (no local section, an H^3 obstruction, nonzero m_H under
-``--expect-zero``, a factorization mismatch); 2 input error; 3 model axiom
-failure.
+``--expect-zero``, a factorization mismatch); 2 input error, including an
+input past a size bound; 3 model axiom failure; 4 internal error, a failed
+certificate or self-check, which no input should reach.
 """
 
 from __future__ import annotations
@@ -405,9 +406,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GerbesError as exc:
+        internal = type(exc) is GerbesError
         if not args.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+            print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return 4 if internal else 2
 
 
 def main() -> None:

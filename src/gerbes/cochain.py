@@ -32,7 +32,7 @@ from .errors import (
     NotACocycle,
     SizeBound,
 )
-from .groups import Subgroup, memo, spanning_tree
+from .groups import Subgroup, memo
 from .linalg import Congruence, howell_relations, kernel_mod, smith_quotient, solve_mod
 from .modules import GModule, Pairing, restrict_module
 
@@ -310,7 +310,7 @@ class CoboundaryResult:
 def _generator_slots(module: GModule, degree: int) -> np.ndarray:
     """Output slots of d_degree whose first argument is a generator.
 
-    The generators S are those of ``groups.spanning_tree``, in increasing
+    The generators S are those of ``FiniteGroup.tree``, in increasing
     order, so the slots form one contiguous block per generator, in the
     order of the full matrix.
 
@@ -318,14 +318,14 @@ def _generator_slots(module: GModule, degree: int) -> np.ndarray:
     (dx)(s, g_2, ..., g_{n+1}) = 0 for every s in S.  Proof: v = dx is a
     normalized cocycle.  In (dv)(s, b, c_1, ..., c_n) = 0 every term but
     s.v(b, c) - v(sb, c) has first argument s, so if v vanishes on S x G^n
-    then v(sb, c) = s.v(b, c).  Since v(1, c) = 0 and every element of a
-    finite group is a product of generators, v = 0.  So the generator rows
-    of d_n have the kernel of d_n, hence the same row span mod e (Z/e is
-    quasi-Frobenius), and a solve of dc = y for a cocycle y needs only
-    those rows, because dc - y is a cocycle too.
+    then v(sb, c) = s.v(b, c).  Since v(1, c) = 0 and S generates G, the
+    induction of the lemma in ``FiniteGroup.tree`` gives v = 0.  So the
+    generator rows of d_n have the kernel of d_n, hence the same row span
+    mod e (Z/e is quasi-Frobenius), and a solve of dc = y for a cocycle y
+    needs only those rows, because dc - y is a cocycle too.
     """
     block = (module.group.order - 1) ** degree
-    gens = np.asarray(spanning_tree(module.group.table)[0], dtype=np.int64)
+    gens = np.asarray(module.group.tree[0], dtype=np.int64)
     return ((gens[:, None] - 1) * block + np.arange(block)).ravel()
 
 

@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .groups import (
     commutator_subgroup,
     memo,
     quotient_group,
-    spanning_tree,
 )
 from .linalg import solve_mod
 from .modules import (
@@ -119,19 +118,15 @@ def lex_section(ext: GerbeExtension) -> tuple[int, ...]:
     return tuple(ext.fiber(g)[0] for g in range(ext.quotient.order))
 
 
+def _conjugation(ext: GerbeExtension, lifts: Sequence[int]) -> list[list[int]]:
+    """``perms[d][h]``: the kernel element lifts[d] h lifts[d]^-1, for each lift."""
+    table, inv, incl = ext.total.table, ext.total.inv, ext.incl.images
+    return [[ext.pull(table[table[x][y]][inv[x]]) for y in incl] for x in lifts]
+
+
 def induced_conj_perms(ext: GerbeExtension, section: Sequence[int] | None = None) -> list[list[int]]:
     """Conjugation action of G on H through a set-section of Gamma."""
-    s = tuple(section) if section is not None else lex_section(ext)
-    total = ext.total
-    perms = []
-    for g in range(ext.quotient.order):
-        lift = s[g]
-        perm = [
-            ext.pull(total.table[total.table[lift][ext.incl(h)]][total.inv[lift]])
-            for h in range(ext.kernel_group.order)
-        ]
-        perms.append(perm)
-    return perms
+    return _conjugation(ext, section if section is not None else lex_section(ext))
 
 
 def _factor_set_cochain(
@@ -238,27 +233,12 @@ def extension_from_cocycle(z: Cochain) -> GerbeExtension:
     if not is_cocycle(z):
         raise GerbesError("extension construction needs a cocycle")
     module = z.module
-    group = module.group
+    index = {m: i for i, m in enumerate(module.carrier.elements())}
+    n = module.group.order
+    action = [[index[module.apply(g, m)] for m in index] for g in range(n)]
+    factor = [[index[z.value(g1, g2)] for g2 in range(n)] for g1 in range(n)]
     kernel = abelian_table_group(module.carrier)
-    elems = list(module.carrier.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    n = group.order
-
-    def pack(m_idx: int, g: int) -> int:
-        return m_idx * n + g
-
-    car = module.carrier
-    table = [[0] * (len(elems) * n) for _ in range(len(elems) * n)]
-    for i1, m1 in enumerate(elems):
-        for g1 in range(n):
-            for i2, m2 in enumerate(elems):
-                for g2 in range(n):
-                    total = car.add(car.add(m1, module.apply(g1, m2)), z.value(g1, g2))
-                    table[pack(i1, g1)][pack(i2, g2)] = pack(index[total], group.table[g1][g2])
-    total_group = FiniteGroup(table, name=f"E({module.name or 'M'})")
-    proj = GroupHom(total_group, group, [g for _ in elems for g in range(n)])
-    incl = GroupHom(kernel, total_group, [pack(i, 0) for i in range(len(elems))])
-    return GerbeExtension(proj, incl)
+    return _crossed_product(kernel, module.group, action, factor, f"E({module.name or 'M'})")
 
 
 def semidirect_extension(
@@ -274,21 +254,31 @@ def semidirect_extension(
     if action is None:
         action = [list(range(kernel.order))] * quotient.order
     n = quotient.order
+    name = f"{kernel.name or 'H'}x|{quotient.name or 'G'}"
+    return _crossed_product(kernel, quotient, action, [[0] * n] * n, name)
 
-    def pack(h: int, g: int) -> int:
-        return h * n + g
 
-    table = [[0] * (kernel.order * n) for _ in range(kernel.order * n)]
-    for h1 in range(kernel.order):
-        for g1 in range(n):
-            for h2 in range(kernel.order):
-                for g2 in range(n):
-                    table[pack(h1, g1)][pack(h2, g2)] = pack(
-                        kernel.table[h1][action[g1][h2]], quotient.table[g1][g2]
-                    )
-    total = FiniteGroup(table, name=f"{kernel.name or 'H'}x|{quotient.name or 'G'}")
-    proj = GroupHom(total, quotient, [g for _ in range(kernel.order) for g in range(n)])
-    incl = GroupHom(kernel, total, [pack(h, 0) for h in range(kernel.order)])
+def _crossed_product(
+    kernel: FiniteGroup,
+    quotient: FiniteGroup,
+    action: Sequence[Sequence[int]],
+    factor: Sequence[Sequence[int]],
+    name: str,
+) -> GerbeExtension:
+    """The extension on pairs (h, g), numbered h |G| + g, with
+    (h1, g1)(h2, g2) = (h1 (g1.h2) factor[g1][g2], g1 g2).
+
+    ``action[g]`` permutes the kernel; the kernel embeds as (h, 1).
+    """
+    n, kt, qt = quotient.order, kernel.table, quotient.table
+    pairs = [(h, g) for h in range(kernel.order) for g in range(n)]
+    table = [
+        [kt[kt[h1][action[g1][h2]]][factor[g1][g2]] * n + qt[g1][g2] for h2, g2 in pairs]
+        for h1, g1 in pairs
+    ]
+    total = FiniteGroup(table, name=name)
+    proj = GroupHom(total, quotient, [g for _, g in pairs])
+    incl = GroupHom(kernel, total, [h * n for h in range(kernel.order)])
     return GerbeExtension(proj, incl)
 
 
@@ -301,32 +291,50 @@ class LocalSection:
     images: tuple[int, ...]  # per element of the place's subgroup-as-group
 
 
+def _crossed_homomorphisms(
+    dgroup: FiniteGroup,
+    candidates: Sequence[Sequence[Any]],
+    mul: Callable[[Any, Any], Any],
+    act: Callable[[int, Any], Any],
+    identity: Any,
+) -> list[list[Any]]:
+    """Every f: D -> A with f(a b) = f(a) (a.f(b)) and f(s_i) in candidates[i].
+
+    ``s_i`` is the i-th generator of ``dgroup.tree``, ``mul`` the product
+    of A and ``act(d, x)`` an action of D on A by automorphisms.  Each
+    choice is extended along the tree and kept when the law holds on
+    D x generators, which is the law everywhere by the lemma of
+    ``FiniteGroup.tree``.  Results come in ``itertools.product`` order.
+    """
+    gens, steps = dgroup.tree
+    count = 1
+    for c in candidates:
+        count *= len(c)
+        if count > SPLITTING_SEARCH_BOUND:
+            raise SizeBound("crossed homomorphism search space exceeds the configured bound")
+    found = []
+    for combo in itertools.product(*candidates):
+        f = [identity] * dgroup.order
+        for y, x, i in steps:
+            f[y] = mul(f[x], act(x, combo[i]))
+        if all(
+            f[row[s]] == mul(f[a], act(a, f[s]))
+            for s in gens
+            for a, row in enumerate(dgroup.table)
+        ):
+            found.append(f)
+    return found
+
+
 def splitting_images(ext: GerbeExtension, sub: Subgroup) -> list[tuple[int, ...]]:
     """All homomorphisms s: D -> Gamma with proj(s(d)) = d, sorted by images."""
     dgroup, embed = sub.as_group()
-    gens, steps = spanning_tree(dgroup.table)
-    fibers = [ext.fiber(embed[g]) for g in gens]
-    count = 1
-    for f in fibers:
-        count *= len(f)
-        if count > SPLITTING_SEARCH_BOUND:
-            raise SizeBound("splitting search space exceeds the configured bound")
     table = ext.total.table
-    found = set()
-    for combo in itertools.product(*fibers):
-        im = [0] * dgroup.order
-        for y, x, i in steps:
-            im[y] = table[im[x]][combo[i]]
-        ok = all(ext.proj(im[a]) == embed[a] for a in range(dgroup.order))
-        if ok:
-            ok = all(
-                im[dgroup.table[a][b]] == table[im[a]][im[b]]
-                for a in range(dgroup.order)
-                for b in range(dgroup.order)
-            )
-        if ok:
-            found.add(tuple(im))
-    return sorted(found)
+    fibers = [ext.fiber(embed[g]) for g in dgroup.tree[0]]
+    homs = _crossed_homomorphisms(dgroup, fibers, lambda x, y: table[x][y], lambda d, x: x, 0)
+    return sorted(
+        tuple(im) for im in homs if all(ext.proj(im[a]) == embed[a] for a in range(dgroup.order))
+    )
 
 
 def local_sections(ext: GerbeExtension, model: ArithmeticModel) -> dict[str, list[LocalSection]]:
@@ -351,34 +359,6 @@ class TorsorClass:
     abelianized: Cochain
 
 
-def _twisted_cocycles(ext: GerbeExtension, base: LocalSection) -> list[tuple[int, ...]]:
-    dgroup, embed = base.place.subgroup.as_group()
-    h_group = ext.kernel_group
-    total = ext.total
-
-    def act(d: int, h: int) -> int:
-        lift = base.images[d]
-        return ext.pull(total.table[total.table[lift][ext.incl(h)]][total.inv[lift]])
-
-    gens, steps = spanning_tree(dgroup.table)
-    if h_group.order ** len(gens) > SPLITTING_SEARCH_BOUND:
-        raise SizeBound("twisted cocycle enumeration exceeds the configured bound")
-    out = []
-    for combo in itertools.product(range(h_group.order), repeat=len(gens)):
-        z = [0] * dgroup.order
-        for y, x, i in steps:
-            # z(x * g) = z(x) * (x . z(g))
-            z[y] = h_group.table[z[x]][act(x, combo[i])]
-        ok = all(
-            z[dgroup.table[a][b]] == h_group.table[z[a]][act(a, z[b])]
-            for a in range(dgroup.order)
-            for b in range(dgroup.order)
-        )
-        if ok:
-            out.append(tuple(z))
-    return sorted(set(out))
-
-
 def torsor_difference(first: LocalSection, second: LocalSection) -> TorsorClass:
     """Class of z(d) = second(d) first(d)^{-1} under twisted conjugation."""
     if first.place is not second.place or first.extension is not second.extension:
@@ -390,13 +370,14 @@ def torsor_difference(first: LocalSection, second: LocalSection) -> TorsorClass:
         ext.pull(total.table[second.images[d]][total.inv[first.images[d]]])
         for d in range(dgroup.order)
     )
-    cocycles = _twisted_cocycles(ext, first)
     h_group = ext.kernel_group
-
-    def act(d: int, h: int) -> int:
-        lift = first.images[d]
-        return ext.pull(total.table[total.table[lift][ext.incl(h)]][total.inv[lift]])
-
+    h_table = h_group.table
+    conj = _conjugation(ext, first.images)
+    anything = [range(h_group.order)] * len(dgroup.tree[0])
+    homs = _crossed_homomorphisms(
+        dgroup, anything, lambda x, y: h_table[x][y], lambda d, h: conj[d][h], 0
+    )
+    cocycles = sorted(map(tuple, homs))
     remaining = set(cocycles)
     orbits = []
     for z in cocycles:
@@ -405,7 +386,7 @@ def torsor_difference(first: LocalSection, second: LocalSection) -> TorsorClass:
         orbit = set()
         for h in range(h_group.order):
             hz = tuple(
-                h_group.table[h_group.table[h][z[d]]][h_group.inv[act(d, h)]]
+                h_table[h_table[h][z[d]]][h_group.inv[conj[d][h]]]
                 for d in range(dgroup.order)
             )
             orbit.add(hz)
@@ -539,31 +520,22 @@ class BMFunctional:
 
 
 def _character_lifts(group: FiniteGroup, m: int, t: int, old: Sequence[int]) -> list[dict[int, int]]:
-    """All characters G -> (Z/mt)* that reduce to the given one mod m."""
+    """All characters G -> (Z/mt)* that reduce to the character ``old`` mod m.
+
+    Two characters that agree on the generators agree everywhere, so fixing
+    each generator's residue fixes the reduction.  Product order is kept.
+    """
     mt = m * t
-    gens, steps = spanning_tree(group.table)
-    candidates = []
-    for g in gens:
-        cand = [
+    candidates = [
+        [
             u
-            for u in range(1, mt)
-            if gcd(u, mt) == 1
-            and u % m == old[g] % m
-            and pow(u, group.element_order(g), mt) == 1
+            for u in range(old[g] % m, mt, m)
+            if gcd(u, mt) == 1 and pow(u, group.element_order(g), mt) == 1
         ]
-        candidates.append(cand)
-    out = []
-    for combo in itertools.product(*candidates):
-        chi = {0: 1}
-        for y, x, i in steps:
-            chi[y] = chi[x] * combo[i] % mt
-        if all(
-            chi[group.table[a][b]] == chi[a] * chi[b] % mt
-            for a in range(group.order)
-            for b in range(group.order)
-        ) and all(chi[g] % m == old[g] % m for g in range(group.order)):
-            out.append(chi)
-    return out
+        for g in group.tree[0]
+    ]
+    chars = _crossed_homomorphisms(group, candidates, lambda x, y: x * y % mt, lambda d, u: u, 1)
+    return [dict(enumerate(chi)) for chi in chars]
 
 
 def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:

@@ -49,7 +49,8 @@ def spanning_tree(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple
     Each generator is the smallest element not yet reached from 0 by right
     products of the earlier ones; ``steps`` lists ``(y, x, i)`` with
     ``y = x * gens[i]`` in BFS order, one step per element other than 0.
-    Only the identity at index 0 is assumed, not associativity.
+    The first steps are ``(gens[i], 0, i)``.  Only the identity at index 0
+    is assumed, not associativity.  ``FiniteGroup.tree`` caches the result.
     """
     n = len(table)
     gens: list[int] = []
@@ -109,28 +110,36 @@ class FiniteGroup:
         for a in range(n):
             if tab[0][a] != a or tab[a][0] != a:
                 raise NoIdentity(f"index 0 is not a two-sided identity at element {a}")
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if tab[a][b] == 0 and tab[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise NoInverse(f"element {a} has no two-sided inverse")
-        # Light's test: if (a s) c == a (s c) for every generator s, the
-        # elements satisfying it are closed under products, so all do.
-        for s in spanning_tree(tab)[0]:
+        # Light's test (see ``tree``): the s with (a s) c == a (s c) for all
+        # a, c are closed under products.
+        for s in self.tree[0]:
             for a, row in enumerate(tab):
                 left = tab[row[s]]
                 right = tuple([row[x] for x in tab[s]])
                 if left != right:
                     c = next(c for c in range(n) if left[c] != right[c])
                     raise NonAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})")
-        for a in range(n):
-            for b in range(n):
-                if inv[tab[a][b]] != tab[inv[b]][inv[a]]:
-                    raise NonAssociative(f"inverse anti-homomorphism fails at ({a}, {b})")
-        return tuple(inv)
+        # In a finite monoid a b = 1 makes x -> b x injective, so b c = 1 for
+        # some c, and c = (a b) c = a: right inverses are two-sided.
+        for a, row in enumerate(tab):
+            if 0 not in row:
+                raise NoInverse(f"element {a} has no two-sided inverse")
+        return tuple(row.index(0) for row in tab)
+
+    @cached_property
+    def tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """The generators S and steps of ``spanning_tree(self.table)``.
+
+        Every law is decided on right products by S.  Lemma: if G acts on a
+        group A by automorphisms, f(0) = 1 and f(a s) = f(a) (a.f(s)) for all
+        a in G and s in S, then f(a b) = f(a) (a.f(b)) for all a, b.  Proof:
+        the b that satisfy this for all a include 0, and for such b,
+        f(a b s) = f(a b) (ab.f(s)) = f(a) a.(f(b) (b.f(s))) = f(a) (a.f(b s));
+        the steps reach every element from 0.  The trivial action gives
+        homomorphisms; Light's test, normality and equivariance are the same
+        induction on the elements that pass.
+        """
+        return spanning_tree(self.table)
 
     def conjugate(self, g: int, h: int) -> int:
         """g h g^-1."""
@@ -149,10 +158,11 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
+        """Whether every generator is central; the center is a subgroup."""
         return all(
-            self.table[a][b] == self.table[b][a]
+            self.table[a][s] == self.table[s][a]
+            for s in self.tree[0]
             for a in range(self.order)
-            for b in range(a + 1, self.order)
         )
 
     def label(self, a: int) -> str:
@@ -459,10 +469,11 @@ class GroupHom:
                 raise InvalidHomomorphism(f"image index {x} out of range")
         if imgs[0] != 0:
             raise InvalidHomomorphism("homomorphism must send identity to identity")
-        for a in range(domain.order):
-            for b in range(domain.order):
-                if imgs[domain.table[a][b]] != codomain.table[imgs[a]][imgs[b]]:
-                    raise InvalidHomomorphism(f"multiplicativity fails at ({a}, {b})")
+        # The lemma of ``FiniteGroup.tree`` with the trivial action.
+        for s in domain.tree[0]:
+            for a, row in enumerate(domain.table):
+                if imgs[row[s]] != codomain.table[imgs[a]][imgs[s]]:
+                    raise InvalidHomomorphism(f"multiplicativity fails at ({a}, {s})")
         self.domain = domain
         self.codomain = codomain
         self.images = imgs
@@ -510,7 +521,8 @@ def quotient_group(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, t
     identity coset is index 0 and the construction is canonical.
     """
     nset = set(normal.elements)
-    for g in range(group.order):
+    # The g with g N g^-1 = N are closed under products (``FiniteGroup.tree``).
+    for g in group.tree[0]:
         for x in normal.elements:
             if group.conjugate(g, x) not in nset:
                 raise InvalidSubgroup(f"subgroup is not normal: {g} conjugates {x} outside")

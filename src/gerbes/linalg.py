@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GerbesError
+from .errors import GerbesError, SizeBound
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -219,7 +219,7 @@ def howell_reduce_rows(a: np.ndarray, e: int) -> np.ndarray:
     per pivot and as many columns as ``a``.
     """
     if e >= 1 << 30:
-        raise GerbesError("modulus too large for the int64 reduction path")
+        raise SizeBound("modulus too large for the int64 reduction path")
     pivots: dict[int, np.ndarray] = {}
     stack: list[np.ndarray] = [np.mod(np.asarray(raw, dtype=np.int64), e) for raw in a]
     stack.reverse()

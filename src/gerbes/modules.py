@@ -12,22 +12,29 @@ from .groups import Abelianization, FiniteGroup, Subgroup, abelianization, memo
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-CARRIER_ENUMERATION_BOUND = 65536
+# The int64 arithmetic of ``cochain`` and ``linalg`` works on entries
+# reduced below the exponent e: ``linalg.howell_reduce_rows`` forms
+# s*p + t*r, exact for e < 2**30, and ``cochain._differential_array`` sums
+# rank products of two reduced entries plus at most five terms below e,
+# exact for rank * e**2 < 2**62.  Every carrier of order <= 65536 passes.
+EXPONENT_BOUND = 1 << 30
+PRODUCT_SUM_BOUND = 1 << 62
 
 
-def _freeze_matrix(m: Sequence[Sequence[int]], rank: int) -> IntMatrix:
-    rows = tuple(tuple(int(x) for x in row) for row in m)
-    if len(rows) != rank or any(len(r) != rank for r in rows):
-        raise InputError(f"action matrix must be {rank}x{rank}")
-    return rows
+def _freeze_matrix(m: Sequence[Sequence[int]], factors: Sequence[int]) -> IntMatrix:
+    k = len(factors)
+    if len(m) != k or any(len(row) != k for row in m):
+        raise InputError(f"action matrix must be {k}x{k}")
+    return tuple(tuple(int(x) % d for x in row) for row, d in zip(m, factors))
 
 
 class GModule:
     """A finite abelian group with an action of ``group`` by automorphisms.
 
     ``action[g]`` is an integer matrix applied to column vectors of carrier
-    coordinates.  Construction checks that every matrix is a well-defined
-    automorphism of the carrier and that the assignment is a homomorphism.
+    coordinates, with row i reduced mod d_i.  Construction checks that every
+    matrix is a well-defined endomorphism and that g -> action(g) is a
+    homomorphism with action(0) = 1, so action(g^-1) inverts action(g).
     """
 
     def __init__(
@@ -40,7 +47,9 @@ class GModule:
         self.group = group
         self.carrier = carrier
         self.name = name
-        k = carrier.rank
+        k, e = carrier.rank, carrier.exponent
+        if e >= EXPONENT_BOUND or k * e * e >= PRODUCT_SUM_BOUND:
+            raise SizeBound(f"carrier {list(carrier.factors)} is past the int64 cochain bounds")
         ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
         mats: list[IntMatrix]
         if action is None:
@@ -48,11 +57,11 @@ class GModule:
         elif isinstance(action, Mapping):
             mats = [ident] * group.order
             for key, mat in action.items():
-                mats[int(key)] = _freeze_matrix(mat, k)
+                mats[int(key)] = _freeze_matrix(mat, carrier.factors)
         else:
             if len(action) != group.order:
                 raise InputError("action must give one matrix per group element")
-            mats = [_freeze_matrix(m, k) for m in action]
+            mats = [_freeze_matrix(m, carrier.factors) for m in action]
         self.action: tuple[IntMatrix, ...] = tuple(mats)
         self._validate()
         self._memo: dict = {}
@@ -68,29 +77,17 @@ class GModule:
                         raise InputError(
                             f"action({g}) entry ({i},{j}) does not define an endomorphism"
                         )
-        if self.action[0] != tuple(
-            tuple(1 if i == j else 0 for j in range(k)) for i in range(k)
-        ):
-            if any(
-                self.apply(0, self.carrier.basis_vector(i)) != self.carrier.basis_vector(i)
-                for i in range(k)
-            ):
-                raise InputError("action of the identity is not the identity map")
-        for g in range(self.group.order):
-            if self.carrier.order > CARRIER_ENUMERATION_BOUND:
-                raise SizeBound("carrier too large for automorphism validation")
-            image = {self.apply(g, v) for v in self.carrier.elements()}
-            if len(image) != self.carrier.order:
-                raise InputError(f"action({g}) is not an automorphism of the carrier")
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                gh = self.group.table[g][h]
-                for i in range(k):
-                    v = self.carrier.basis_vector(i)
-                    if self.apply(g, self.apply(h, v)) != self.apply(gh, v):
-                        raise InputError(
-                            f"action is not a homomorphism: action({g})action({h}) != action({g}*{h})"
-                        )
+        basis = [self.carrier.basis_vector(i) for i in range(k)]
+        if any(self.apply(0, v) != v for v in basis):
+            raise InputError("action of the identity is not the identity map")
+        # The lemma of ``FiniteGroup.tree`` with the trivial action.
+        for h in self.group.tree[0]:
+            images = [self.apply(h, v) for v in basis]
+            for g, row in enumerate(self.group.table):
+                if any(self.apply(g, hv) != self.apply(row[h], v) for hv, v in zip(images, basis)):
+                    raise InputError(
+                        f"action is not a homomorphism: action({g})action({h}) != action({g}*{h})"
+                    )
 
     @property
     def rank(self) -> int:
@@ -234,9 +231,10 @@ def _induced_action(
     for g, perm in enumerate(outer_action):
         if sorted(perm) != list(range(h_group.order)):
             raise InputError(f"outer action of element {g} is not a permutation of H")
-        for a in range(h_group.order):
-            for b in range(h_group.order):
-                if perm[h_group.table[a][b]] != h_group.table[perm[a]][perm[b]]:
+        # The lemma of ``FiniteGroup.tree`` with the trivial action.
+        for s in h_group.tree[0]:
+            for a, row in enumerate(h_group.table):
+                if perm[row[s]] != h_group.table[perm[a]][perm[s]]:
                     raise InputError(f"outer action of element {g} is not an automorphism")
         cols = [ab.coords[perm[h]] for h in ab.generator_preimages]
         k = ab.target.rank
@@ -293,8 +291,8 @@ class Pairing:
     """A G-equivariant bilinear map left x right -> target on one group.
 
     The table gives the value on each pair of basis vectors, and both
-    well-definedness (orders) and equivariance are validated exhaustively on
-    generators at construction.
+    well-definedness (orders) and equivariance are validated exactly at
+    construction, on basis vectors and group generators.
     """
 
     def __init__(
@@ -324,8 +322,9 @@ class Pairing:
                 v = self.table[i][j]
                 if tgt.scale(di, v) != tgt.zero() or tgt.scale(dj, v) != tgt.zero():
                     raise InputError(f"pairing value at ({i},{j}) has incompatible order")
-        group = self.left.group
-        for g in range(group.order):
+        # The g under which the pairing is equivariant are closed under
+        # products, so generators suffice (``FiniteGroup.tree``).
+        for g in self.left.group.tree[0]:
             for i in range(self.left.rank):
                 gi = self.left.apply(g, self.left.carrier.basis_vector(i))
                 for j in range(self.right.rank):

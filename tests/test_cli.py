@@ -232,6 +232,7 @@ MALFORMED = {
     "invariant-signed-denominator": _set(["model", "places", 0, "inv"], ["1/-2"]),
     "invariant-non-ascii-digit": _set(["model", "places", 0, "inv"], ["\u0661/2"]),
     "invariant-unreduced": _set(["model", "places", 0, "inv"], ["2/4"]),
+    "factor-huge": _set(["modules", "M", "factors"], [10**30]),
 }
 
 
@@ -245,11 +246,61 @@ def test_malformed_document_exits_2(probe, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _stdout(doc, argv, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc = run([*argv, str(path), "--output", "json"])
+    return rc, capsys.readouterr().out
+
+
+def test_unreduced_action_entries_act_as_their_residues(tmp_path, capsys):
+    doc = json.loads(resources.files("gerbes.data").joinpath("witness_document.json").read_text())
+    want = _stdout(doc, ["cohomology"], tmp_path, capsys)
+    # 2**64 + 3 == 3 mod 4: the same module, past the int64 range.
+    doc["modules"]["M"]["action"] = {"1": [[2**64 + 3]], "3": [[2**64 + 3]]}
+    assert _stdout(doc, ["cohomology"], tmp_path, capsys) == want
+    assert want[0] == 0
+
+
+@pytest.mark.parametrize("entry", [2**63 - 1, 10**30 + 1])
+def test_large_action_entries_give_the_factors_of_their_residues(entry, tmp_path, capsys):
+    def factors(e, degree):
+        doc = {
+            "groups": {"G": {"table": [[0, 1], [1, 0]]}},
+            "modules": {"M": {"group": "G", "factors": [3, 9], "action": {"1": [[e, 0], [0, 8]]}}},
+        }
+        rc, out = _stdout(doc, ["cohomology", "--degree", str(degree)], tmp_path, capsys)
+        assert rc == 0
+        return json.loads(out)["result"]["invariant_factors"]
+
+    for degree in (0, 1, 2):
+        assert factors(entry, degree) == factors(entry % 3, degree)
+
+
+def test_internal_errors_exit_4(witness_path, monkeypatch, capsys):
+    import gerbes.cli
+    from gerbes.errors import GerbesError, SizeBound
+
+    def fail(*args, **kwargs):
+        raise GerbesError("x")
+
+    monkeypatch.setattr(gerbes.cli, "sha", fail)
+    assert run(["sha", witness_path]) == 4
+    assert "internal error: x" in capsys.readouterr().err
+
+    def bound(*args, **kwargs):
+        raise SizeBound("y")
+
+    monkeypatch.setattr(gerbes.cli, "sha", bound)
+    assert run(["sha", witness_path]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 SHIPPED = {
     name: json.loads(resources.files("gerbes.data").joinpath(f"{name}_document.json").read_text())
     for name in ("witness", "q8")
 }
-FUZZ_VALUES = ["x", -1, 10**30, None, [], {}, 1.5, True]
+FUZZ_VALUES = ["x", -1, 10**30, None, [], {}, 1.5, True, 2**64 + 3]
 
 
 @st.composite
