@@ -338,7 +338,7 @@ def _cmd_verify(args, document: doc.Document) -> int:
     name = _only(document.extensions, "extension", _task(document, "factorization", "extension", args.extension))
     ext = document.extension(name)
     model = document.require_model()
-    report = verify_factorization(ext, model, keep_trace=args.certificates)
+    report = verify_factorization(ext, model, args.mu_enlarge_bound, args.certificates)
     payload = {
         "command": "verify factorization",
         "inputs": {

@@ -1,8 +1,10 @@
 """Normalized bar-resolution cochains, cohomology, cup products, solvers.
 
-A degree-n cochain stores one carrier vector per n-tuple of non-identity
-group elements (value zero whenever an argument is the identity), indexed
-lexicographically.  The differential is the inhomogeneous bar formula
+A degree-n cochain stores one int64 row per n-tuple of non-identity group
+elements (value zero whenever an argument is the identity), indexed
+lexicographically, in one read-only (q^n, rank) array whose entry i of each
+row is reduced mod the carrier factor d_i.  The differential is the
+inhomogeneous bar formula
 
     (dc)(g_1,...,g_{n+1}) = g_1.c(g_2,...,g_{n+1})
                             + sum_i (-1)^i c(..., g_i g_{i+1}, ...)
@@ -50,29 +52,24 @@ _KERNEL_COLUMN_BOUND = 600
 
 
 class Cochain:
-    """An immutable normalized cochain of degree 0..3."""
+    """An immutable normalized cochain of degree 0..3; ``array`` is its only storage."""
 
-    __slots__ = ("module", "degree", "values", "_array")
+    __slots__ = ("module", "degree", "array")
 
-    def __init__(self, module: GModule, degree: int, values: Sequence[Sequence[int]]) -> None:
+    def __init__(self, module: GModule, degree: int, values: Sequence[Sequence[int]] | np.ndarray) -> None:
         if not 0 <= degree <= MAX_DEGREE:
             raise DegreeTooHigh(f"cochain degree {degree} outside 0..{MAX_DEGREE}")
-        q = module.group.order - 1
-        slots = q**degree
+        slots = (module.group.order - 1) ** degree
         if len(values) != slots:
             raise InputError(f"expected {slots} value slots, got {len(values)}")
         self.module = module
         self.degree = degree
-        self.values: tuple[tuple[int, ...], ...] = tuple(
-            module.carrier.reduce(v) for v in values
-        )
-        self._array: np.ndarray | None = None
+        self.array = _reduced(values, module.carrier.factors, slots)
 
     @staticmethod
     def zero(module: GModule, degree: int) -> Cochain:
         q = module.group.order - 1
-        z = module.carrier.zero()
-        return Cochain(module, degree, [z] * (q**degree))
+        return Cochain(module, degree, np.zeros((q**degree, module.rank), dtype=np.int64))
 
     @staticmethod
     def from_function(module: GModule, degree: int, fn: Callable[[tuple[int, ...]], Sequence[int]]) -> Cochain:
@@ -89,66 +86,66 @@ class Cochain:
         ]
         return Cochain(module, degree, vals)
 
-    def slot_index(self, elements: Sequence[int]) -> int:
-        q = self.module.group.order - 1
-        idx = 0
-        for g in elements:
-            idx = idx * q + (g - 1)
-        return idx
+    @property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """The slot vectors as tuples of ints, derived from ``array``."""
+        return tuple(map(tuple, self.array.tolist()))
 
-    def value(self, *elements: int) -> tuple[int, ...]:
-        if len(elements) != self.degree:
-            raise InputError(f"expected {self.degree} arguments")
-        if any(g == 0 for g in elements):
-            return self.module.carrier.zero()
-        return self.values[self.slot_index(elements)]
-
-    def as_array(self) -> np.ndarray:
-        if self._array is None:
-            k = self.module.rank
-            arr = np.asarray(self.values, dtype=np.int64).reshape(len(self.values), k)
-            self._array = arr
-        return self._array
-
-    def flat(self) -> list[int]:
-        return [x for v in self.values for x in v]
-
-    def _binary(self, other: Cochain, op: Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]) -> Cochain:
+    def _other(self, other: Cochain) -> np.ndarray:
         if other.module is not self.module or other.degree != self.degree:
             raise InputError("cochain mismatch in arithmetic")
-        return Cochain(self.module, self.degree, [op(a, b) for a, b in zip(self.values, other.values)])
+        return other.array
 
     def __add__(self, other: Cochain) -> Cochain:
-        return self._binary(other, self.module.carrier.add)
+        return Cochain(self.module, self.degree, self.array + self._other(other))
 
     def __sub__(self, other: Cochain) -> Cochain:
-        return self._binary(other, self.module.carrier.sub)
+        return Cochain(self.module, self.degree, self.array - self._other(other))
 
     def __neg__(self) -> Cochain:
-        car = self.module.carrier
-        return Cochain(self.module, self.degree, [car.neg(v) for v in self.values])
+        return Cochain(self.module, self.degree, -self.array)
 
     def scaled(self, n: int) -> Cochain:
-        car = self.module.carrier
-        return Cochain(self.module, self.degree, [car.scale(n, v) for v in self.values])
+        # Every factor divides the exponent, and GModule keeps exponent**2
+        # inside int64.
+        return Cochain(self.module, self.degree, n % self.module.carrier.exponent * self.array)
 
     def is_zero(self) -> bool:
-        z = self.module.carrier.zero()
-        return all(v == z for v in self.values)
+        return not self.array.any()
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cochain)
             and other.module is self.module
             and other.degree == self.degree
-            and other.values == self.values
+            and np.array_equal(other.array, self.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.module, self.degree, self.values))
+        return hash((self.module, self.degree, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Cochain(deg={self.degree}, {self.module!r})"
+
+
+def _reduced(values: Sequence[Sequence[int]] | np.ndarray, factors: tuple[int, ...], slots: int) -> np.ndarray:
+    """The read-only (slots, rank) int64 array of ``values``, entry i of each row mod factors[i].
+
+    Integer entries of any size reduce exactly: unsigned and object arrays
+    (Python ints past int64) are reduced as Python ints.
+    """
+    try:
+        raw = np.asarray(values).reshape(slots, len(factors))
+    except ValueError:
+        raise InputError(f"cochain values are not {slots} vectors of rank {len(factors)}") from None
+    if raw.size == 0 or raw.dtype.kind == "i":
+        out = raw.astype(np.int64, copy=False) % np.asarray(factors, dtype=np.int64)
+    elif raw.dtype.kind in "uO" and all(isinstance(x, (int, np.integer)) for x in raw.flat):
+        out = (raw.astype(object) % np.asarray(factors, dtype=object)).astype(np.int64)
+    else:
+        raise InputError(f"cochain values have dtype {raw.dtype}, not integers")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,7 @@ def _differential_array(c: Cochain) -> np.ndarray:
     plan = memo(module, n, _diff_plan, module, n)
     if q == 0 or k == 0:
         return np.zeros((plan.out_slots, k), dtype=np.int64)
-    vals = c.as_array()
+    vals = c.array
     padded = np.vstack([vals, np.zeros((1, k), dtype=np.int64)])
     out = np.zeros((plan.out_slots, k), dtype=np.int64)
     block = plan.in_slots
@@ -234,8 +231,7 @@ def differential(c: Cochain) -> Cochain:
     """The bar differential, for input degrees 0..2."""
     if c.degree >= MAX_DEGREE:
         raise DegreeTooHigh("differential of a degree-3 cochain leaves the supported range")
-    out = _differential_array(c)
-    return Cochain(c.module, c.degree + 1, [tuple(int(x) for x in row) for row in out])
+    return Cochain(c.module, c.degree + 1, _differential_array(c))
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -262,9 +258,7 @@ def restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
 
 def restriction(z: Cochain, sub: Subgroup) -> Cochain:
     """Pull a cochain back to a subgroup (values on tuples from the subgroup)."""
-    module = restrict_module(z.module, sub)
-    vals = z.values
-    return Cochain(module, z.degree, [vals[i] for i in restriction_slots(sub, z.degree).tolist()])
+    return Cochain(restrict_module(z.module, sub), z.degree, z.array[restriction_slots(sub, z.degree)])
 
 
 def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
@@ -275,17 +269,18 @@ def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
     if not pairing.left.compatible_with(a.module) or not pairing.right.compatible_with(b.module):
         raise InputError("cup arguments do not match the pairing's modules")
     group = pairing.left.group
-    target = pairing.target
-    qn = group.order - 1
+    act, pair = pairing.right.apply, pairing.apply
+    b_rows = b.array.tolist()
     vals = []
-    for t in itertools.product(range(1, qn + 1), repeat=p + q_deg):
-        head, tail = t[:p], t[p:]
+    # Slots are lexicographic, so the head (g_1..g_p) runs over a's slots in
+    # order and, for each, the tail over b's.
+    heads = itertools.product(range(1, group.order), repeat=p)
+    for head, a_row in zip(heads, a.array.tolist()):
         prefix = 0
         for g in head:
             prefix = group.table[prefix][g]
-        bval = pairing.right.apply(prefix, b.value(*tail))
-        vals.append(pairing.apply(a.value(*head), bval))
-    return Cochain(target, p + q_deg, vals)
+        vals.extend(pair(a_row, act(prefix, b_row)) for b_row in b_rows)
+    return Cochain(pairing.target, p + q_deg, vals)
 
 
 @dataclass(frozen=True)
@@ -437,7 +432,7 @@ class CohomologyGroup:
             raise NotACocycle(f"cochain is not a {self.degree}-cocycle")
         if self.module.rank == 0:
             return ()
-        y = self._kernel.coordinates(z.flat())
+        y = self._kernel.coordinates(z.array.ravel())
         return tuple(c % d for c, d in zip(self._reducers @ y, self.factors))
 
     def functional(self, weights: Sequence[int], modulus: int) -> np.ndarray:
@@ -458,11 +453,17 @@ class CohomologyGroup:
         return np.asarray(lam, dtype=np.int64)
 
     def cochain_from_coords(self, coords: Sequence[int]) -> Cochain:
-        z = self.zero_cochain()
-        for c, rep in zip(coords, self.representatives):
-            if c:
-                z = z + rep.scaled(int(c))
-        return z
+        """sum_i coords_i rep_i, as one product with the stacked representatives.
+
+        Each term is reduced before the sum, so every entry stays below e**2
+        for the exponent e, inside int64 by GModule's bound.
+        """
+        reps = self.representatives[: len(coords)]
+        if not reps:
+            return self.zero_cochain()
+        c = np.asarray([int(x) % self.module.carrier.exponent for x in coords[: len(reps)]])
+        terms = c[:, None, None] * np.stack([rep.array for rep in reps]) % np.asarray(self.module.carrier.factors)
+        return Cochain(self.module, self.degree, terms.sum(axis=0))
 
     def __repr__(self) -> str:
         return f"H^{self.degree}({self.module!r}) = {list(self.factors)}"
@@ -493,14 +494,13 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
         return CoboundaryResult(Cochain.zero(module, n - 1), None)
     b_scaled, slots, e = memo(module, n - 1, _scaled_differential, module, n - 1)
     scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
-    x, failed = solve_mod(b_scaled, (y.as_array()[slots] * scale % e).ravel(), e)
+    x, failed = solve_mod(b_scaled, (y.array[slots] * scale % e).ravel(), e)
     if x is None:
         coords: tuple[int, ...] | None = None
         if n <= 2:
             coords = cohomology(module, n).reduce(y)
         return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
-    vals = [tuple(x[s * k : (s + 1) * k]) for s in range(q ** (n - 1))]
-    c = Cochain(module, n - 1, vals)
+    c = Cochain(module, n - 1, np.reshape(x, (-1, k)))
     if differential(c) != y:
         raise GerbesError("coboundary solver produced an invalid primitive")
     return CoboundaryResult(c, None)
@@ -542,9 +542,7 @@ def cocycle_relations(module: GModule, degree: int, phis: np.ndarray, tags: np.n
 
 def random_cocycle(coh: CohomologyGroup, rng: random.Random) -> Cochain:
     """A random cocycle: random class plus a random coboundary."""
-    z = coh.zero_cochain()
-    for d, rep in zip(coh.factors, coh.representatives):
-        z = z + rep.scaled(rng.randrange(d))
+    z = coh.cochain_from_coords([rng.randrange(d) for d in coh.factors])
     if coh.degree >= 1:
         c = Cochain.random(coh.module, coh.degree - 1, rng)
         z = z + differential(c)

@@ -354,7 +354,7 @@ def echo_document(
 
 
 def cochain_json(c: Cochain) -> dict[str, Any]:
-    return {"degree": c.degree, "values": [list(v) for v in c.values]}
+    return {"degree": c.degree, "values": c.array.tolist()}
 
 
 def cohomology_json(h: CohomologyGroup, certificates: bool = False) -> dict[str, Any]:

@@ -55,20 +55,8 @@ class FinAb:
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
 
-    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.factors))
-
-    def sub(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.factors))
-
     def scale(self, n: int, a: Sequence[int]) -> tuple[int, ...]:
         return tuple((n * x) % d for x, d in zip(a, self.factors))
-
-    def element_order(self, a: Sequence[int]) -> int:
-        n = 1
-        for x, d in zip(a, self.factors):
-            n = n * (d // gcd(x, d)) // gcd(n, d // gcd(x, d))
-        return n
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.factors))

@@ -334,8 +334,8 @@ def criterion_8_axiom_enforcement() -> CriterionResult:
     dd = gerbe_dual(mh_witness_extension(), model.mu)
     s1 = sha(model, dd.dual, 1)
     s2 = sha(permuted, dd.dual, 1)
-    if s1.factors != s2.factors or [g.cochain.values for g in s1.generators] != [
-        g.cochain.values for g in s2.generators
+    if s1.factors != s2.factors or [g.cochain.array.tolist() for g in s1.generators] != [
+        g.cochain.array.tolist() for g in s2.generators
     ]:
         failures.append({"case": "sha place permutation"})
     f1 = brauer_manin(mh_witness_extension(), model)

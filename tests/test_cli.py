@@ -126,6 +126,40 @@ def test_not_locally_neutral_exit(tmp_path, capsys):
     assert run(["gerbe", "mh", str(path), "--quiet"]) == 1
 
 
+def test_verify_factorization_honours_mu_enlarge_bound(tmp_path, capsys):
+    """Z/4 over Z/2 with mu = Z/2 and one trivial place: the cup cocycle
+    only becomes a coboundary with mu enlarged to Z/4, on both sides."""
+    c2 = [[0, 1], [1, 0]]
+    doc = {
+        "groups": {
+            "G": {"table": c2},
+            "H": {"table": c2},
+            "T": {"table": [[(i + j) % 4 for j in range(4)] for i in range(4)]},
+        },
+        "extensions": {
+            "E": {"total": "T", "quotient": "G", "kernel": "H",
+                  "projection": [0, 1, 0, 1], "injection": [0, 2]}
+        },
+        "model": {
+            "group": "G",
+            "mu": {"modulus": 2},
+            "places": [{"name": "t", "subgroup": [0], "inv": []}],
+        },
+    }
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path), "--mu-enlarge-bound", "2", "--output", "json"]
+    assert run(["gerbe", "mh", *argv]) == 0
+    mh = json.loads(capsys.readouterr().out)["result"]
+    assert mh["mu_modulus"] == 4 and mh["is_zero"]
+    assert run(["verify", "factorization", *argv]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["holds"] is True
+    for side in ("via_extension", "via_pushout"):
+        assert result[side] == mh
+    assert run(["verify", "factorization", str(path), "--quiet"]) == 1
+
+
 def test_json_outputs_are_deterministic(witness_path, capsys):
     outs = []
     for _ in range(2):

@@ -1,6 +1,10 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbes.cochain import (
     Cochain,
@@ -12,7 +16,7 @@ from gerbes.cochain import (
     restriction,
     solve_coboundary,
 )
-from gerbes.errors import DegreeTooHigh, NotACocycle, SizeBound
+from gerbes.errors import DegreeTooHigh, InputError, NotACocycle, SizeBound
 from gerbes.groups import Subgroup, cyclic_group, dihedral_group, klein_four_group, symmetric_group
 from gerbes.modules import Pairing, cyclic_module, trivial_module
 
@@ -257,5 +261,111 @@ def test_dd_zero_exhaustive_on_small_groups():
                 # The matrix agrees with the cochain differential.
                 for _ in range(3):
                     c = Cochain.random(module, deg, rng)
-                    got = down @ np.asarray(c.flat(), dtype=np.int64) % np.tile(factors, q ** (deg + 1))
-                    assert got.tolist() == differential(c).flat(), (group.name, deg)
+                    got = down @ c.array.ravel() % np.tile(factors, q ** (deg + 1))
+                    assert np.array_equal(got, differential(c).array.ravel()), (group.name, deg)
+
+
+def _seeded_batch_digest() -> str:
+    """sha256 over repr((degree, values)) of a seeded batch on the criterion-3 family.
+
+    The batch runs every cochain operation and every seeded draw in a fixed
+    order, so a change in any value, or in the order the draws consume the
+    rng, changes the digest.
+    """
+    from gerbes.selftest import _criterion3_modules
+
+    rng = random.Random(20260)
+    h = hashlib.sha256()
+
+    def emit(c):
+        h.update(repr((c.degree, c.values)).encode())
+
+    for size in (4, 6, 8, 12, 16):
+        group, module, pairing = _criterion3_modules(size)
+        sub = next(
+            s
+            for s in (Subgroup.generated_by(group, [x]) for x in range(1, group.order))
+            if s.order < group.order
+        )
+        for deg in (0, 1, 2):
+            a = Cochain.random(module, deg, rng)
+            b = Cochain.random(module, deg, rng)
+            for c in (a, a + b, a - b, -a, a.scaled(rng.randrange(-7, 40)), restriction(a, sub)):
+                emit(c)
+            emit(differential(a))
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)):
+            emit(cup(Cochain.random(module, p, rng), Cochain.random(module, q, rng), pairing))
+        for deg in (0, 1, 2) if size <= 8 else (0, 1):
+            coh = cohomology(module, deg)
+            emit(random_cocycle(coh, rng))
+            emit(coh.cochain_from_coords([rng.randrange(-d, 2 * d) for d in coh.factors]))
+    return h.hexdigest()
+
+
+def test_seeded_cochain_batch_is_unchanged():
+    """Recorded when cochains still stored tuples of tuples."""
+    assert _seeded_batch_digest() == "01a4dc001c326cadb2a3dd02ccced56f44db7fb9a499a5f1617ab6c26735ce29"
+
+
+_ARITH_MODULES = (
+    trivial_module(klein_four_group(), (2, 4)),
+    cyclic_module(cyclic_group(6), 3, {1: 2, 3: 2, 5: 2}),
+    cyclic_module(cyclic_group(4), 8, {1: 7, 3: 7}),
+    trivial_module(cyclic_group(3), ()),
+)
+_ENTRIES = st.one_of(st.integers(-(2**80), 2**80), st.integers(-50, 50))
+
+
+@st.composite
+def _cochain_values(draw, module, degree):
+    slots = (module.group.order - 1) ** degree
+    k = module.rank
+    return [tuple(draw(_ENTRIES) for _ in range(k)) for _ in range(slots)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vector_arithmetic_matches_a_per_slot_reference(data):
+    module = data.draw(st.sampled_from(_ARITH_MODULES))
+    degree = data.draw(st.integers(0, 2))
+    raw_a = data.draw(_cochain_values(module, degree))
+    raw_b = data.draw(_cochain_values(module, degree))
+    n = data.draw(_ENTRIES)
+    factors = module.carrier.factors
+
+    def ref(rows):
+        return tuple(tuple(x % d for x, d in zip(row, factors)) for row in rows)
+
+    a, b = Cochain(module, degree, raw_a), Cochain(module, degree, raw_b)
+    assert a.values == ref(raw_a) and b.values == ref(raw_b)
+    assert (a + b).values == ref([[x + y for x, y in zip(u, v)] for u, v in zip(raw_a, raw_b)])
+    assert (a - b).values == ref([[x - y for x, y in zip(u, v)] for u, v in zip(raw_a, raw_b)])
+    assert (-a).values == ref([[-x for x in u] for u in raw_a])
+    assert a.scaled(n).values == ref([[n * x for x in u] for u in raw_a])
+    assert (a - b).is_zero() == (a == b) == (ref(raw_a) == ref(raw_b))
+
+
+def test_constructor_reduces_exactly_and_checks_its_input():
+    m = trivial_module(klein_four_group(), (2, 4))
+    c = Cochain(m, 1, [(-1, -1), (2**70 + 1, 2**70 + 1), (3, -6)])
+    assert c.values == ((1, 3), (1, 1), (1, 2))
+    assert c.array.dtype == np.int64
+    big = np.asarray([[2**70 + 1, -(2**70) - 1]] * 3, dtype=object)
+    assert Cochain(m, 1, big).values == ((1, 3),) * 3
+    assert Cochain(m, 1, np.full((3, 2), 2**64 - 1, dtype=np.uint64)).values == ((1, 3),) * 3
+    with pytest.raises(InputError, match="expected 3 value slots"):
+        Cochain(m, 1, [(0, 0)] * 2)
+    with pytest.raises(InputError, match="rank"):
+        Cochain(m, 1, [(0,)] * 3)
+    with pytest.raises(InputError, match="rank"):
+        Cochain(m, 1, [(0, 0), (0,), (0, 0)])
+    with pytest.raises(InputError, match="dtype"):
+        Cochain(m, 1, np.zeros((3, 2)))
+    with pytest.raises(InputError, match="dtype"):
+        Cochain(m, 1, [(0.5, 0)] * 3)
+    with pytest.raises(ValueError):
+        c.array[0, 0] = 0
+    twin = Cochain(m, 1, [(1, 3), (1, 1), (1, 2)])
+    assert twin == c and hash(twin) == hash(c)
+    assert {c: 1}[twin] == 1
+    assert Cochain(trivial_module(cyclic_group(1), (2,)), 2, []).array.shape == (0, 1)

@@ -24,3 +24,20 @@ def test_every_traced_callable_resolves():
             assert attr in vars(getattr(owner, cls_name)), f"{name}: {module}.{path} is gone"
         else:
             assert callable(getattr(owner, path, None)), f"{name}: {module}.{path} is gone"
+
+
+def test_cochain_contracts_of_the_benchmark():
+    """The tracer counts ``cochain.Cochain.created`` by wrapping the class's
+    own ``__init__``, and the cochain-identities workload renders each
+    result as ``repr(result.values)``, a tuple of int tuples."""
+    from gerbes.cochain import Cochain, differential
+    from gerbes.groups import klein_four_group
+    from gerbes.modules import trivial_module
+
+    assert "__init__" in vars(Cochain)
+    module = trivial_module(klein_four_group(), (2, 4))
+    c = differential(Cochain(module, 1, [(1, 3), (0, 1), (1, 2)]))
+    values = c.values
+    assert type(values) is tuple and len(values) == 9
+    assert all(type(v) is tuple and len(v) == 2 for v in values)
+    assert all(type(x) is int for v in values for x in v)
