@@ -16,16 +16,22 @@ and A3 is the Chebotarev-style completeness flag: with it, the computed
 Sha is the kernel over all cyclic subgroups; an actual number field ranges
 over all places, so faithfulness is the model author's responsibility.
 
-``check_axioms`` reports A2 per generator of the global H^2.  The verdict
-alone (``axioms_hold``, ``require_axioms``) never builds that group: with
-m the modulus of mu, each place gives a row vector l_v on C^2(D_v, mu)
-with l_v . z == m inv_v([z]) (mod m) on cocycles, and A2 holds exactly
-when Phi = sum_v l_v o res_v vanishes on Z^2(G, mu), which is one
-membership test of Phi in the row span of d_2 mod m
-(``cochain.cocycle_annihilator``).  Phi is linear in the invariant values,
-so ``search_inv_assignments`` checks A2 for every assignment at once: the
-consistent ones form the subgroup that ``cochain.cocycle_relations``
-spans, and only that subgroup is enumerated.
+The engine sees inv_v in one form only: with m the modulus of mu, the
+row vector lambda_v on C^2(D_v, mu) with lambda_v . z == m inv_v([z])
+(mod m) on cocycles (``ArithmeticModel.inv_functional``, memoized per
+place), a combination of the rows of the local class matrix
+(``CohomologyGroup.functional``).  It exists exactly when A1 holds at v.
+``inv_eval``, and through it the A2 report, ``gerbe.local_pairing`` and
+the m_H sum, evaluate lambda_v . z.
+
+``check_axioms`` reports A2 per generator of the global H^2, once A1
+holds.  The verdict alone (``axioms_hold``, ``require_axioms``) never
+builds that group: A2 holds exactly when Phi = sum_v lambda_v o res_v
+vanishes on Z^2(G, mu), which is one membership test of Phi in the row
+span of d_2 mod m (``cochain.cocycle_annihilator``).  Phi is linear in
+the invariant values, so ``search_inv_assignments`` checks A2 for every
+assignment at once: the consistent ones form the subgroup that
+``cochain.cocycle_relations`` spans, and only that subgroup is enumerated.
 
 ``sha`` gets a basis that does not depend on the order of the places from
 the Hermite basis of its kernel lattice, which contains e Z^r for the lcm
@@ -52,9 +58,9 @@ from .cochain import (
     restriction_slots,
     solve_coboundary,
 )
-from .errors import GerbesError, InputError, ModelAxiomFailure, SearchSpaceExceeded
+from .errors import GerbesError, InputError, ModelAxiomFailure, NotACocycle, SearchSpaceExceeded
 from .finab import QmodZ
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups
+from .groups import FiniteGroup, Subgroup, cyclic_subgroups, memo
 from .linalg import hermite_column_basis, howell_relations, smith_quotient, solve_column_basis
 from .modules import GModule
 
@@ -90,6 +96,7 @@ class ArithmeticModel:
         self.mu = mu
         self.places = tuple(places)
         self.chebotarev_complete = bool(chebotarev_complete)
+        self._memo: dict = {}
         names = [p.name for p in self.places]
         if len(set(names)) != len(names):
             raise InputError("place names must be distinct")
@@ -113,17 +120,31 @@ class ArithmeticModel:
     def modulus(self) -> int:
         return self.mu.carrier.factors[0]
 
+    def inv_functional(self, place: Place) -> np.ndarray:
+        """lambda_v: the row vector on C^2(D_v, mu) with lambda_v . z == m inv_v([z]) (mod m).
+
+        It is the one form in which the engine reads inv_v; A1 at the place
+        is exactly the condition under which it exists.
+        """
+        return memo(self, place, _inv_functional, self, place)
+
     def inv_eval(self, place: Place, z: Cochain) -> QmodZ:
         """inv_v of a 2-cocycle on D_v with mu coefficients (linear in z)."""
-        h2 = self.local_h2(place)
-        coords = h2.reduce(z)
-        total = QmodZ.zero()
-        for c, val in zip(coords, place.inv):
-            total = total + val.scaled(int(c))
-        return total
+        if not self.local_h2(place).is_cocycle(z):
+            raise NotACocycle("cochain is not a 2-cocycle")
+        m = self.modulus
+        return QmodZ.make(int((self.inv_functional(place) * z.array.ravel() % m).sum() % m), m)
 
     def __repr__(self) -> str:
         return f"ArithmeticModel({self.group!r}, mu=Z/{self.modulus}, {len(self.places)} places)"
+
+
+def _inv_functional(model: ArithmeticModel, place: Place) -> np.ndarray:
+    h2 = model.local_h2(place)
+    if any(d % v.den for d, v in zip(h2.factors, place.inv)):
+        raise InputError(f"place {place.name!r} fails A1, so inv_v is not a map on H^2(D_v, mu)")
+    m = model.modulus
+    return h2.functional([v.num * (m // v.den) for v in place.inv], m)
 
 
 @dataclass(frozen=True)
@@ -169,7 +190,8 @@ class AxiomReport:
         parts = []
         parts.append("A1 " + ("ok" if not bad1 else f"FAIL at {[(e.place, e.generator) for e in bad1]}"))
         parts.append(
-            "A2 " + ("ok" if not bad2 else f"FAIL at generators {[e.generator for e in bad2]}")
+            "A2 skipped" if bad1
+            else "A2 " + ("ok" if not bad2 else f"FAIL at generators {[e.generator for e in bad2]}")
         )
         if self.a3.checked:
             parts.append("A3 " + ("ok" if self.a3.ok else f"FAIL, uncovered {list(self.a3.uncovered)}"))
@@ -198,9 +220,15 @@ def _a3_entry(model: ArithmeticModel) -> A3Entry:
 
 
 def check_axioms(model: ArithmeticModel) -> AxiomReport:
-    """Evaluate A1, A2, A3; failures become report entries, not exceptions."""
+    """Evaluate A1, A2, A3; failures become report entries, not exceptions.
+
+    A2 is evaluated only when A1 holds, since inv_v is a map on H^2(D_v, mu)
+    exactly then; otherwise the report has no A2 entries.
+    """
+    a1 = _a1_entries(model)
     a2 = []
-    for j, rep in enumerate(cohomology(model.mu, 2).representatives):
+    global_reps = cohomology(model.mu, 2).representatives if all(e.ok for e in a1) else ()
+    for j, rep in enumerate(global_reps):
         contributions = []
         total = QmodZ.zero()
         for p in model.places:
@@ -209,7 +237,7 @@ def check_axioms(model: ArithmeticModel) -> AxiomReport:
             contributions.append((p.name, val))
             total = total + val
         a2.append(A2Entry(j, tuple(contributions), total, total.is_zero()))
-    return AxiomReport(tuple(_a1_entries(model)), tuple(a2), _a3_entry(model))
+    return AxiomReport(tuple(a1), tuple(a2), _a3_entry(model))
 
 
 def reciprocity_certificate(model: ArithmeticModel) -> np.ndarray | None:
@@ -218,11 +246,9 @@ def reciprocity_certificate(model: ArithmeticModel) -> np.ndarray | None:
     Returns y with y . d_2^S == Phi (mod m) (see the module docstring and
     ``cochain.cocycle_annihilator``), or None when A2 fails.
     """
-    m = model.modulus
     phi = np.zeros((model.group.order - 1) ** 2, dtype=np.int64)
     for p in model.places:
-        lam = model.local_h2(p).functional([v.num * (m // v.den) for v in p.inv], m)
-        phi[restriction_slots(p.subgroup, 2)] += lam
+        phi[restriction_slots(p.subgroup, 2)] += model.inv_functional(p)
     return cocycle_annihilator(model.mu, 2, phi)
 
 
@@ -336,7 +362,8 @@ def search_inv_assignments(
     of its own order d, as a/d with 0 <= a < d; the assignments are
     listed in lexicographic order of their numerators.  A2 is linear in
     them: with m the modulus of mu, slot s gives Psi_s, the functional
-    with weight m/d_s on its generator pulled back to C^2(G, mu), and an
+    with weight m/d_s on its generator, which over Z/m is row s of the
+    local class matrix, pulled back to C^2(G, mu), and an
     assignment passes exactly when sum_s a_s Psi_s vanishes on the global
     cocycles.  Those (a_s m/d_s) form the subgroup that
     ``cochain.cocycle_relations`` spans, which is enumerated instead of the
@@ -361,9 +388,8 @@ def search_inv_assignments(
     psi = np.zeros((len(orders), (group.order - 1) ** 2), dtype=np.int64)
     slot = 0
     for p, h2 in zip(zero_model.places, local):
-        for weights in np.diag([m // d for d in h2.factors]).tolist():
-            psi[slot, restriction_slots(p.subgroup, 2)] = h2.functional(weights, m)
-            slot += 1
+        psi[slot : slot + len(h2.classes), restriction_slots(p.subgroup, 2)] = h2.classes
+        slot += len(h2.classes)
     scale = np.asarray([m // d for d in orders], dtype=np.int64)
     rel = cocycle_relations(mu, 2, psi, np.diag(scale))
     # Each element of the span of Howell rows r_i with pivots g_i is

@@ -14,6 +14,7 @@ certificate or self-check, which no input should reach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Sequence
 
@@ -37,7 +38,9 @@ from .gerbe import (
 )
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text")
     common.add_argument("--certificates", action="store_true",

@@ -14,6 +14,11 @@ evaluated exactly.  Cohomology is computed by integer SNF on the kernel
 lattice {x : d_n x == 0 mod carrier factors} against the image lattice of
 d_{n-1} plus the carrier relations; canonical representatives come from the
 deterministic pivot order, so identical inputs give identical certificates.
+That Smith data is read once, at construction, into the group's class
+matrix ``classes``: an int64 matrix over Z/e, e the carrier exponent, whose
+row i sends every cocycle z to (e/d_i) reduce(z)_i mod e.  It is integral
+because a class depends on z only modulo the carrier factors.  ``reduce``
+is one product with it and ``functional`` one combination of its rows.
 Kernels and coboundary solves use only the generator rows of d_n (see
 ``_generator_slots``), which cut out the same cocycles.
 """
@@ -373,7 +378,14 @@ def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.n
 
 
 class CohomologyGroup:
-    """H^n(G, M) with canonical representatives and a reduction map."""
+    """H^n(G, M) with canonical representatives and its class matrix.
+
+    ``classes`` is the int64 class matrix over Z/e, e the carrier
+    exponent: row i sends every cocycle z to (e/d_i) reduce(z)_i mod e.
+    It is all that ``reduce`` and ``functional`` read.
+    """
+
+    __slots__ = ("module", "degree", "factors", "representatives", "classes")
 
     def __init__(self, module: GModule, degree: int) -> None:
         if degree not in (0, 1, 2):
@@ -383,7 +395,7 @@ class CohomologyGroup:
         if module.rank == 0:
             self.factors: tuple[int, ...] = ()
             self.representatives: tuple[Cochain, ...] = ()
-            self._kernel = None
+            self.classes = np.zeros((0, 0), dtype=np.int64)
             return
 
         q = module.group.order - 1
@@ -393,19 +405,32 @@ class CohomologyGroup:
                 f"cochain coordinates, past the bound of {_KERNEL_COLUMN_BOUND}"
             )
         a_scaled, _, e = memo(module, degree, _scaled_differential, module, degree)
-        self._kernel = kernel_mod(a_scaled, e)
+        kernel = kernel_mod(a_scaled, e)
         # The cocycle lattice modulo [d_{n-1} | diag(carrier factors)], in
         # kernel coordinates.
         relations = np.diag(np.tile(np.asarray(module.carrier.factors, dtype=object), q**degree))
         if degree >= 1:
             relations = np.hstack([_differential_matrix(module, degree - 1), relations])
-        self.factors, generators, self._reducers = smith_quotient(
-            self._kernel.coordinates(relations)
-        )
+        self.factors, generators, reducers = smith_quotient(kernel.coordinates(relations))
         self.representatives = tuple(
             Cochain(module, degree, vec.reshape(-1, module.rank))
-            for vec in (self._kernel.basis @ generators).T
+            for vec in (kernel.basis @ generators).T
         )
+        # reduce(z) = reducers @ y mod the factors, for the kernel
+        # coordinates y = diag(1/m) V_inv z (m the kernel multipliers).
+        # Lemma: d_i divides reducers_ij e/m_j, so row i of the class
+        # matrix, (e/d_i) reducers_i diag(1/m) V_inv, is an integer row.
+        # Proof: a class depends on z only modulo the carrier factors, so
+        # reduce(z + e w) = reduce(z) for every integer w.  In kernel
+        # coordinates e w is diag(e/m) V_inv w, and V_inv is unimodular, so
+        # V_inv w runs over all of Z^N and row i of reducers diag(e/m)
+        # vanishes mod d_i.  The division is checked all the same.
+        scaled = np.asarray([e // d for d in self.factors], dtype=object)[:, None] * reducers
+        if (scaled % kernel.multipliers).any():
+            raise GerbesError("class matrix row is not integral")
+        rows = (scaled // kernel.multipliers % e) @ (kernel.V_inv % e) % e
+        self.classes = rows.astype(np.int64)
+        self.classes.flags.writeable = False
         for i, rep in enumerate(self.representatives):
             want = tuple(1 if j == i else 0 for j in range(len(self.factors)))
             if self.reduce(rep) != want:
@@ -430,27 +455,29 @@ class CohomologyGroup:
         """Coordinates of the class of ``z`` in the invariant-factor basis."""
         if not self.is_cocycle(z):
             raise NotACocycle(f"cochain is not a {self.degree}-cocycle")
-        if self.module.rank == 0:
-            return ()
-        y = self._kernel.coordinates(z.array.ravel())
-        return tuple(c % d for c, d in zip(self._reducers @ y, self.factors))
+        e = self.module.carrier.exponent
+        # GModule keeps e below 2**30, so each product is below 2**60, and
+        # it is reduced mod e before the sum.
+        v = (self.classes * z.array.ravel() % e).sum(axis=1) % e
+        return tuple(int(c) * d // e for c, d in zip(v, self.factors))
 
     def functional(self, weights: Sequence[int], modulus: int) -> np.ndarray:
         """A row vector l on C^n with l . z == sum_i weights_i reduce(z)_i (mod modulus).
 
-        The identity holds for every cocycle z (flattened).  ``modulus`` must
-        kill the carrier and each ``weights_i * factors_i``; then the map on
-        cocycles extends to all cochains because Z/modulus is self-injective,
-        and one solve against the kernel basis finds the extension.
+        The identity holds for every cocycle z (flattened).  ``modulus``
+        must be a multiple of the carrier exponent e and divide each
+        ``weights_i * factors_i``; then l is (modulus/e) sum_i a_i classes_i
+        with a_i = weights_i factors_i / modulus.
         """
-        if not self.factors:
-            return np.zeros((self.module.group.order - 1) ** self.degree * self.module.rank, dtype=np.int64)
-        basis = self._kernel.basis
-        target = np.asarray(weights, dtype=object) @ self._reducers % modulus
-        lam, _ = solve_mod((basis.T % modulus).astype(np.int64), target.tolist(), modulus)
-        if lam is None:
-            raise GerbesError("the functional does not extend from cocycles to cochains")
-        return np.asarray(lam, dtype=np.int64)
+        e = self.module.carrier.exponent
+        if (
+            len(weights) != len(self.factors)
+            or modulus % e
+            or any(w * d % modulus for w, d in zip(weights, self.factors))
+        ):
+            raise GerbesError(f"weights {list(weights)} mod {modulus} are not a functional on H^{self.degree}")
+        a = np.asarray([w * d // modulus % e for w, d in zip(weights, self.factors)], dtype=np.int64)
+        return modulus // e * ((a[:, None] * self.classes % e).sum(axis=0) % e)
 
     def cochain_from_coords(self, coords: Sequence[int]) -> Cochain:
         """sum_i coords_i rep_i, as one product with the stacked representatives.

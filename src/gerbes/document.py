@@ -239,7 +239,10 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
         if not isinstance(pname, str):
             raise InputError(f"place {i} name must be a string, got {pname!r}")
         sub = Subgroup(group, tuple(_integers(pspec.get("subgroup", [0]), f"place {pname!r} subgroup")))
-        inv = tuple(_fraction(v, f"place {pname!r} inv") for v in pspec.get("inv", []))
+        raw_inv = pspec.get("inv", [])
+        if not isinstance(raw_inv, list):
+            raise InputError(f"place {pname!r} inv must be a list, got {raw_inv!r}")
+        inv = tuple(_fraction(v, f"place {pname!r} inv") for v in raw_inv)
         places.append(Place(pname, sub, inv))
     complete = spec.get("chebotarev_complete", False)
     if not isinstance(complete, bool):

@@ -109,9 +109,6 @@ class QmodZ:
     def __sub__(self, other: QmodZ) -> QmodZ:
         return self + (-other)
 
-    def scaled(self, n: int) -> QmodZ:
-        return QmodZ.make(n * self.num, self.den)
-
     @property
     def order(self) -> int:
         return self.den

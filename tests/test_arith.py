@@ -63,6 +63,10 @@ def test_a1_violation_reported():
     model = ArithmeticModel(z2, mu, [Place("v", whole, (QmodZ.make(1, 8),))])
     report = check_axioms(model)
     assert not all(e.ok for e in report.a1)
+    # Without A1, inv_v is no map on H^2(D_v, mu), so A2 is not evaluated.
+    assert report.a2 == () and "A2 skipped" in report.summary()
+    with pytest.raises(InputError, match="A1"):
+        model.inv_functional(model.places[0])
 
 
 def test_a3_uncovered():
@@ -89,6 +93,35 @@ def test_inv_eval_linearity_and_coboundaries():
     rng = random.Random(0)
     c = Cochain.random(model.local_mu(p), 1, rng)
     assert model.inv_eval(p, gen + differential(c)) == model.inv_eval(p, gen)
+
+
+def test_inv_v_is_one_memoized_functional_per_place(monkeypatch):
+    """inv_eval agrees with the sum of invariant values over class
+    coordinates, and the A2 report and certificate read the memoized lambda_v."""
+    import random
+
+    from gerbes.cochain import CohomologyGroup, random_cocycle
+
+    model = witness_model()
+    lams = {p.name: model.inv_functional(p) for p in model.places}
+    calls = []
+    functional = CohomologyGroup.functional
+    monkeypatch.setattr(
+        CohomologyGroup, "functional", lambda *args: calls.append(args) or functional(*args)
+    )
+    rng = random.Random(5)
+    for p in model.places:
+        assert model.inv_functional(p) is lams[p.name]
+        h2 = model.local_h2(p)
+        for _ in range(10):
+            z = random_cocycle(h2, rng)
+            want = QmodZ.zero()
+            for c, v in zip(h2.reduce(z), p.inv):
+                want = want + QmodZ.make(c * v.num, v.den)
+            assert model.inv_eval(p, z) == want
+    assert check_axioms(model).passed
+    assert reciprocity_certificate(model) is not None
+    assert calls == []
 
 
 def test_sha_trivial_cases():

@@ -266,6 +266,8 @@ MALFORMED = {
     "invariant-signed-denominator": _set(["model", "places", 0, "inv"], ["1/-2"]),
     "invariant-non-ascii-digit": _set(["model", "places", 0, "inv"], ["\u0661/2"]),
     "invariant-unreduced": _set(["model", "places", 0, "inv"], ["2/4"]),
+    "invariant-string": _set(["model", "places", 0, "inv"], "0"),
+    "invariant-object": _set(["model", "places", 0, "inv"], {"0": 1}),
     "factor-huge": _set(["modules", "M", "factors"], [10**30]),
 }
 
@@ -413,3 +415,9 @@ def test_json_certificate_output_bytes(key, tmp_path, capsys):
     assert run([*command.split(), str(path), "--output", "json", "--certificates"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[key]
+
+
+def test_parser_is_built_once_per_process():
+    from gerbes import cli
+
+    assert cli._parser() is cli._parser()

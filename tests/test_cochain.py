@@ -16,9 +16,10 @@ from gerbes.cochain import (
     restriction,
     solve_coboundary,
 )
-from gerbes.errors import DegreeTooHigh, InputError, NotACocycle, SizeBound
+from gerbes.errors import DegreeTooHigh, GerbesError, InputError, NotACocycle, SizeBound
+from gerbes.finab import FinAb
 from gerbes.groups import Subgroup, cyclic_group, dihedral_group, klein_four_group, symmetric_group
-from gerbes.modules import Pairing, cyclic_module, trivial_module
+from gerbes.modules import GModule, Pairing, cyclic_module, trivial_module
 
 
 def test_differential_trivial_cases():
@@ -369,3 +370,104 @@ def test_constructor_reduces_exactly_and_checks_its_input():
     assert twin == c and hash(twin) == hash(c)
     assert {c: 1}[twin] == 1
     assert Cochain(trivial_module(cyclic_group(1), (2,)), 2, []).array.shape == (0, 1)
+
+
+def _twisted_modules(group, odd):
+    """Z/4(-1), Z/8(-1) and Z/2 x Z/4 with the Z/4 twisted, the elements of ``odd`` acting by -1."""
+    return [
+        cyclic_module(group, 4, {g: 3 for g in odd}),
+        cyclic_module(group, 8, {g: 7 for g in odd}),
+        GModule(group, FinAb((2, 4)), {g: [[1, 0], [0, 3]] for g in odd}),
+    ]
+
+
+def _class_cases():
+    """(module, degrees): the oracle family, twisted cyclic modules over C4..C16
+    and D4 with Z/2 x Z/4, in every degree whose H^n has at most 100 coordinates."""
+    from gerbes.fixtures import oracle_groups, oracle_modules
+
+    for _, group in oracle_groups():
+        for _, module in oracle_modules(group):
+            yield module, (0, 1, 2)
+    for n in (4, 6, 8, 10, 12, 16):
+        for module in _twisted_modules(cyclic_group(n), range(1, n, 2)):
+            yield module, tuple(d for d in (0, 1, 2) if (n - 1) ** d * module.rank <= 100)
+    d4 = dihedral_group(4)
+    rotations = next(
+        s for s in (Subgroup.generated_by(d4, [x]) for x in range(d4.order)) if s.order == 4
+    )
+    yield trivial_module(d4, (2, 4)), (0, 1, 2)
+    odd = [g for g in range(d4.order) if g not in rotations.elements]
+    yield _twisted_modules(d4, odd)[2], (0, 1, 2)
+
+
+def test_reduce_on_a_seeded_batch_is_unchanged():
+    """sha256 of reduce on seeded random cocycles; recorded when reduce still
+    went through the kernel basis and the Smith reducers."""
+    rng = random.Random(2026)
+    h = hashlib.sha256()
+    for module, degrees in _class_cases():
+        for deg in degrees:
+            coh = cohomology(module, deg)
+            for _ in range(8):
+                h.update(repr((deg, coh.factors, coh.reduce(random_cocycle(coh, rng)))).encode())
+    assert h.hexdigest() == "a734a7ee82419133a2192d601a2eaaec922c5d8b93a01adc53d83744cc62dc17"
+
+
+def test_functional_matches_weighted_reduce():
+    rng = random.Random(7)
+    for module in _ARITH_MODULES:
+        e = module.carrier.exponent
+        for deg in (0, 1, 2):
+            coh = cohomology(module, deg)
+            for modulus in (e, 2 * e, 3 * e):
+                for _ in range(3):
+                    weights = [modulus // d * rng.randrange(-20, 20) for d in coh.factors]
+                    lam = coh.functional(weights, modulus)
+                    assert lam.shape == ((module.group.order - 1) ** deg * module.rank,)
+                    for _ in range(3):
+                        z = random_cocycle(coh, rng)
+                        lhs = sum(int(a) * int(x) for a, x in zip(lam, z.array.ravel()))
+                        rhs = sum(w * c for w, c in zip(weights, coh.reduce(z)))
+                        assert (lhs - rhs) % modulus == 0, (module, deg, modulus)
+            if coh.factors:
+                ones = [1] * len(coh.factors)
+                with pytest.raises(GerbesError):
+                    coh.functional(ones, e + 1)  # not a multiple of the carrier exponent
+                with pytest.raises(GerbesError):
+                    coh.functional(ones, 2 * e)  # 2e does not divide 1 * d_i
+                with pytest.raises(GerbesError):
+                    coh.functional(ones[1:], e)
+
+
+def test_class_matrix_contract(monkeypatch):
+    """A built group keeps only its factors, representatives and int64 class
+    matrix; reduce and functional need neither solves nor kernel coordinates."""
+    from gerbes import cochain
+    from gerbes.linalg import LatticeKernel
+
+    groups = [cochain.CohomologyGroup(module, deg) for module in _ARITH_MODULES for deg in (0, 1, 2)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached the Smith data after construction")
+
+    monkeypatch.setattr(cochain, "solve_mod", forbidden)
+    monkeypatch.setattr(LatticeKernel, "coordinates", forbidden)
+    rng = random.Random(3)
+    for coh in groups:
+        state = {name: getattr(coh, name) for name in getattr(coh, "__slots__", ())}
+        state.update(getattr(coh, "__dict__", {}))
+        assert set(state) == {"module", "degree", "factors", "representatives", "classes"}
+        assert not any(isinstance(v, np.ndarray) and v.dtype == object for v in state.values())
+        module = coh.module
+        e = module.carrier.exponent
+        assert coh.classes.dtype == np.int64
+        assert coh.classes.shape == (len(coh.factors), (module.group.order - 1) ** coh.degree * module.rank)
+        assert ((0 <= coh.classes) & (coh.classes < e)).all()
+        for i, rep in enumerate(coh.representatives):
+            assert coh.reduce(rep) == tuple(int(i == j) for j in range(len(coh.factors)))
+        z = random_cocycle(coh, rng)
+        coords = coh.reduce(z)
+        lam = coh.functional([e // d for d in coh.factors], e)
+        want = sum(e // d * c for d, c in zip(coh.factors, coords)) % e
+        assert int((lam * z.array.ravel() % e).sum()) % e == want
