@@ -52,8 +52,6 @@ def _parser() -> argparse.ArgumentParser:
                              "groups, extension quotients, the model group (default 64)")
     common.add_argument("--mu-enlarge-bound", type=int, default=1,
                         help="retry H^3 obstructions with mu enlarged up to this factor")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property tests (never affects results)")
     common.add_argument("--quiet", action="store_true", help="suppress output")
 
     parser = argparse.ArgumentParser(prog="gerbes", description=__doc__)
@@ -90,6 +88,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--extension")
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized property tests (never affects results)")
     return parser
 
 

@@ -26,6 +26,7 @@ Kernels and coboundary solves use only the generator rows of d_n (see
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,11 +50,17 @@ _PLAN_SLOT_BOUND = 4_000_000
 # (|G| = 64, degree 2 would take 7.4 GiB); 1 GiB is far above any shipped use.
 _MATRIX_BYTE_BOUND = 1 << 30
 # The object SNF behind H^n grows faster than cubically in the number of
-# cochain coordinates q^n * rank, its column count.  H^2(C_n, Z/2) on a
-# 2-core host: 361 columns 23 s, 441 42 s, 529 69 s, 625 150 s.  The bound
-# sits where H^n passes about two minutes; H^2(C64, Z/2) (3,969) would run
-# for hours.
-_KERNEL_COLUMN_BOUND = 600
+# cochain coordinates q^n * rank, its column count, and its cost depends on
+# the coefficients.  H^2 on a 2-core host:
+#   Z/2:      361 columns 23 s, 441 42 s, 529 69 s, 625 150 s;
+#   Z/4:      361 columns (C20) 66 s;
+#   Z/4(-1):  225 columns (C16) 11 s, 289 (C18) 33 s, 361 (C20) 160 s,
+#             441 (C22) over 595 s;
+#   Z/8(-1):  225 columns 27 s, 289 224 s.
+# The bound is the largest column count at which the twisted Z/4, the mu of
+# the shipped witness and of the cyclic benchmark documents, stays within
+# about two minutes.  Z/8(-1) passes two minutes sooner, at 289 columns.
+_KERNEL_COLUMN_BOUND = 289
 
 
 class Cochain:
@@ -392,13 +399,16 @@ class CohomologyGroup:
             raise DegreeTooHigh("cohomology is computed for degrees 0, 1, 2 only")
         self.module = module
         self.degree = degree
-        if module.rank == 0:
+        q = module.group.order - 1
+        # H^n of the zero module is 0.  For n >= 1, |G| and the carrier
+        # exponent both kill H^n, so coprime ones force H^n = 0 too: nothing
+        # is eliminated, at any size.
+        if module.rank == 0 or (degree >= 1 and math.gcd(q + 1, module.carrier.exponent) == 1):
             self.factors: tuple[int, ...] = ()
             self.representatives: tuple[Cochain, ...] = ()
-            self.classes = np.zeros((0, 0), dtype=np.int64)
+            self.classes = np.zeros((0, q**degree * module.rank), dtype=np.int64)
+            self.classes.flags.writeable = False
             return
-
-        q = module.group.order - 1
         if q**degree * module.rank > _KERNEL_COLUMN_BOUND:
             raise SizeBound(
                 f"H^{degree} over a group of order {q + 1} has {q**degree * module.rank} "

@@ -1,17 +1,23 @@
 """Independent cohomology oracles used to cross-check the main pipeline.
 
-Two deliberately separate computations of H^n(G, M) for trivial actions:
+Two deliberately separate computations of H^n(G, M) for trivial actions,
+both reading the bar differential from one builder, ``_bar_matrix``:
 
-* ``enumerated_cohomology`` walks the whole normalized cochain space,
-  filters cocycles by direct evaluation of the bar identity, enumerates
+* ``enumerated_cohomology`` reads the normalized complex (tuples with an
+  identity entry dropped).  It applies d to every assignment of the
+  cochain space in one integer product, keeps the cocycles, enumerates the
   coboundaries, and reads the quotient structure off its Cayley table.
   Exponential, so only feasible for tiny groups.
 
-* ``modular_cohomology`` works on the FULL (unnormalized) bar complex with
+* ``modular_cohomology`` reads the FULL (unnormalized) complex and uses
   its own small row-reduction over Z/e, counting kernels, images, and
-  2-torsion.  Sharing neither the complex nor the linear algebra with the
-  main pipeline makes agreement a real check, including of the standard
-  normalized-versus-full comparison.
+  2-torsion.
+
+The oracles differ in the complex they read and in their method
+(enumeration or elimination).  Neither shares the complex or the linear
+algebra with the main pipeline (``gerbes.cochain``, ``gerbes.linalg``), so
+agreement is a real check, including of the standard normalized-versus-full
+comparison.
 
 Both raise SizeBound rather than running forever.
 """
@@ -38,25 +44,29 @@ def _check_uniform(factors: tuple[int, ...]) -> int:
     return factors[0]
 
 
+def _bar_matrix(group: FiniteGroup, e: int, k: int, degree: int, normalized: bool) -> np.ndarray:
+    """Matrix of d_degree mod e for the trivial action on (Z/e)^k.
+
+    Rows are (output tuple, coordinate) and columns (input tuple,
+    coordinate), tuples in lexicographic order over 1..|G|-1 on the
+    normalized complex or 0..|G|-1 on the full one.  Face i adds (-1)^i;
+    on the normalized complex a face with an identity entry is zero, so it
+    is dropped.
+    """
+    elements = range(1, group.order) if normalized else range(group.order)
+    in_index = {t: i for i, t in enumerate(itertools.product(elements, repeat=degree))}
+    out_tuples = list(itertools.product(elements, repeat=degree + 1))
+    mat = np.zeros((len(out_tuples), len(in_index)), dtype=np.int64)
+    for r, t in enumerate(out_tuples):
+        merged = [t[: i - 1] + (group.table[t[i - 1]][t[i]],) + t[i + 1 :] for i in range(1, degree + 1)]
+        for i, face in enumerate((t[1:], *merged, t[:-1])):
+            col = in_index.get(face)
+            if col is not None:
+                mat[r, col] += (-1) ** i
+    return np.kron(mat, np.eye(k, dtype=np.int64)) % e
+
+
 # -- exhaustive enumeration on the normalized complex -----------------------
-
-
-def _bar_terms(group: FiniteGroup, degree: int) -> list[list[tuple[int, int]]]:
-    """Per output tuple: (input slot, sign) pairs, identity slots dropped."""
-    n = group.order
-    in_tuples = list(itertools.product(range(1, n), repeat=degree))
-    in_index = {t: i for i, t in enumerate(in_tuples)}
-    plans = []
-    for t in itertools.product(range(1, n), repeat=degree + 1):
-        terms: list[tuple[int, int]] = [(in_index[t[1:]], 1)]
-        for i in range(1, degree + 1):
-            merged = group.table[t[i - 1]][t[i]]
-            if merged:
-                tup = t[: i - 1] + (merged,) + t[i + 1 :]
-                terms.append((in_index[tup], (-1) ** i))
-        terms.append((in_index[t[:-1]], (-1) ** (degree + 1)))
-        plans.append(terms)
-    return plans
 
 
 def _structure_of_quotient(elements: list[tuple], sub: set, e: int, k: int) -> tuple[int, ...]:
@@ -82,16 +92,9 @@ def _structure_of_quotient(elements: list[tuple], sub: set, e: int, k: int) -> t
     return abelian_structure(table).group.factors
 
 
-def _apply_plan(plan: list[list[tuple[int, int]]], values: tuple, e: int, k: int) -> tuple:
-    out = []
-    for terms in plan:
-        acc = [0] * k
-        for slot, sign in terms:
-            vec = values[slot]
-            for i in range(k):
-                acc[i] += sign * vec[i]
-        out.extend(x % e for x in acc)
-    return tuple(out)
+def _all_vectors(e: int, n: int) -> np.ndarray:
+    """Every vector of (Z/e)^n, one per row, in ``itertools.product`` order."""
+    return np.indices((e,) * n, dtype=np.int64).reshape(n, e**n).T
 
 
 def enumerated_cohomology(group: FiniteGroup, factors: tuple[int, ...], degree: int) -> tuple[int, ...]:
@@ -105,18 +108,13 @@ def enumerated_cohomology(group: FiniteGroup, factors: tuple[int, ...], degree: 
     count = (e**k) ** slots
     if count > ENUMERATION_BOUND:
         raise SizeBound(f"enumeration space {count} exceeds the oracle bound")
-    vectors = list(itertools.product(range(e), repeat=k))
-    up_plan = _bar_terms(group, degree)
-    cocycles = []
-    for assignment in itertools.product(vectors, repeat=slots):
-        if not any(_apply_plan(up_plan, assignment, e, k)):
-            cocycles.append(tuple(x for vec in assignment for x in vec))
-    down_plan = _bar_terms(group, degree - 1)
-    below_slots = q ** (degree - 1)
-    boundaries = set()
-    for assignment in itertools.product(vectors, repeat=below_slots):
-        boundaries.add(_apply_plan(down_plan, assignment, e, k))
-    return _structure_of_quotient(cocycles, boundaries, e, k)
+    up = _bar_matrix(group, e, k, degree, normalized=True)
+    down = _bar_matrix(group, e, k, degree - 1, normalized=True)
+    assignments = _all_vectors(e, slots * k)
+    cocycles = assignments[~(assignments @ up.T % e).any(axis=1)]
+    images = _all_vectors(e, q ** (degree - 1) * k) @ down.T % e
+    boundaries = set(map(tuple, images.tolist()))
+    return _structure_of_quotient(list(map(tuple, cocycles.tolist())), boundaries, e, k)
 
 
 # -- full-complex modular elimination ---------------------------------------
@@ -182,27 +180,6 @@ def _span_size(rows: np.ndarray, e: int) -> int:
     return size
 
 
-def _full_matrix(group: FiniteGroup, e: int, k: int, degree: int) -> np.ndarray:
-    """Matrix of d_degree on the full complex (columns = input basis)."""
-    n = group.order
-    in_tuples = list(itertools.product(range(n), repeat=degree))
-    out_tuples = list(itertools.product(range(n), repeat=degree + 1))
-    in_index = {t: i for i, t in enumerate(in_tuples)}
-    cols = len(in_tuples) * k
-    mat = np.zeros((len(out_tuples) * k, cols), dtype=np.int64)
-    for r, t in enumerate(out_tuples):
-        terms: list[tuple[tuple, int]] = [(t[1:], 1)]
-        for i in range(1, degree + 1):
-            merged = group.table[t[i - 1]][t[i]]
-            terms.append((t[: i - 1] + (merged,) + t[i + 1 :], (-1) ** i))
-        terms.append((t[:-1], (-1) ** (degree + 1)))
-        for tup, sign in terms:
-            base = in_index[tup] * k
-            for i in range(k):
-                mat[r * k + i, base + i] = (mat[r * k + i, base + i] + sign) % e
-    return mat
-
-
 def modular_cohomology(group: FiniteGroup, factors: tuple[int, ...], degree: int) -> tuple[int, ...]:
     """H^degree over the full bar complex by row reduction mod e.
 
@@ -214,8 +191,8 @@ def modular_cohomology(group: FiniteGroup, factors: tuple[int, ...], degree: int
     if degree not in (1, 2):
         raise InputError("the modular oracle covers degrees 1 and 2")
     n = group.order
-    d_up = _full_matrix(group, e, k, degree)
-    d_down = _full_matrix(group, e, k, degree - 1)
+    d_up = _bar_matrix(group, e, k, degree, normalized=False)
+    d_down = _bar_matrix(group, e, k, degree - 1, normalized=False)
     vars_in = (n**degree) * k
     im_up = _span_size(d_up.T, e)
     z_size = (e**vars_in) // im_up

@@ -421,3 +421,44 @@ def test_parser_is_built_once_per_process():
     from gerbes import cli
 
     assert cli._parser() is cli._parser()
+
+
+def test_seed_is_a_selftest_option(witness_path):
+    """Only selftest reads --seed, so only selftest accepts it."""
+    from gerbes import cli
+
+    assert cli._parser().parse_args(["selftest", "--seed", "3"]).seed == 3
+    for command in DOCUMENT_COMMANDS:
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli._parser().parse_args([*command, witness_path, "--seed", "3"])
+        assert exc.value.code == 2, command
+
+
+def _cyclic_model_document(n: int) -> dict:
+    """A model over C_n (n = 2 mod 4) with mu = Z/4, odd elements acting by -1,
+    places at the index-2 subgroup (odd order, so its H^2 vanishes) and at 1."""
+    return {
+        "groups": {"G": {"table": [[(a + b) % n for b in range(n)] for a in range(n)]}},
+        "model": {
+            "group": "G",
+            "mu": {"modulus": 4, "character": {str(x): 3 for x in range(1, n, 2)}},
+            "places": [
+                {"name": "v0", "subgroup": list(range(0, n, 2)), "inv": []},
+                {"name": "v1", "subgroup": [0], "inv": []},
+            ],
+        },
+    }
+
+
+def test_model_check_past_the_column_bound_exits_2_fast(tmp_path, capsys):
+    """The global H^2(C22, Z/4(-1)) has 441 cochain coordinates, past the
+    kernel column bound, so `model check` is refused instead of running for
+    more than ten minutes."""
+    import time
+
+    path = tmp_path / "c22.json"
+    path.write_text(canonical_json(_cyclic_model_document(22)))
+    start = time.perf_counter()
+    assert run(["model", "check", str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "441 cochain coordinates" in capsys.readouterr().err

@@ -103,6 +103,45 @@ def test_generator_rows_have_the_howell_form_of_d():
                 assert np.array_equal(got, want), (group.name, module.carrier.factors, deg)
 
 
+@pytest.fixture()
+def no_kernel(monkeypatch):
+    """Fail the test on any call of ``cochain.kernel_mod``."""
+    from gerbes import cochain
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_mod was called")
+
+    monkeypatch.setattr(cochain, "kernel_mod", refuse)
+
+
+def test_coprime_cohomology_is_built_without_elimination(no_kernel):
+    """For n >= 1, |G| and the carrier exponent both kill H^n, so when they
+    are coprime H^n = 0 is built without any elimination, at any size."""
+    cases = [
+        (trivial_module(cyclic_group(15), (4,)), (1, 2)),
+        (trivial_module(cyclic_group(9), (2, 4)), (1, 2)),
+        # 3,844 coordinates, far past the kernel column bound.
+        (trivial_module(cyclic_group(63), (4,)), (2,)),
+    ]
+    for module, degrees in cases:
+        q = module.group.order - 1
+        for deg in degrees:
+            h = cohomology(module, deg)
+            assert h.factors == () and h.representatives == ()
+            assert h.classes.dtype == np.int64 and not h.classes.flags.writeable
+            assert h.classes.shape == (0, q**deg * module.rank)
+            assert h.reduce(Cochain.zero(module, deg)) == ()
+
+
+def test_column_bound_refuses_twisted_z4_over_c20(no_kernel):
+    """H^2(C20, Z/4(-1)) has 361 coordinates; its Smith step takes minutes,
+    so it is refused before the kernel is computed and nothing is cached."""
+    m = cyclic_module(cyclic_group(20), 4, {x: 3 for x in range(1, 20, 2)})
+    with pytest.raises(SizeBound, match="361 cochain coordinates"):
+        cohomology(m, 2)
+    assert m._memo == {}
+
+
 def test_trivial_group_and_trivial_module_edges():
     one = cyclic_group(1)
     m = trivial_module(one, (4,))
@@ -245,6 +284,7 @@ def test_dd_zero_exhaustive_on_small_groups():
     carrier, which covers every cochain at once (d is linear)."""
     import numpy as np
 
+    from gerbes import oracle
     from gerbes.cochain import _differential_matrix
     from gerbes.fixtures import oracle_groups, oracle_modules
 
@@ -253,12 +293,21 @@ def test_dd_zero_exhaustive_on_small_groups():
         q = group.order - 1
         for _, module in oracle_modules(group):
             factors = np.asarray(module.carrier.factors, dtype=np.int64)
+            e, k = module.carrier.exponent, module.rank
             for deg in (0, 1, 2):
                 up = _differential_matrix(module, deg + 1)
                 down = _differential_matrix(module, deg)
                 prod = up @ down
                 moduli = np.tile(factors, q ** (deg + 2))
                 assert not (prod % moduli[:, None]).any(), (group.name, deg)
+                # The oracle's independent builder gives the same normalized
+                # complex (every oracle module has equal factors e).
+                bar = oracle._bar_matrix(group, e, k, deg, normalized=True)
+                assert np.array_equal(bar, down % e), (group.name, module.carrier.factors, deg)
+                if deg <= 1:
+                    full_up = oracle._bar_matrix(group, e, k, deg + 1, normalized=False)
+                    full_down = oracle._bar_matrix(group, e, k, deg, normalized=False)
+                    assert not (full_up @ full_down % e).any(), (group.name, module.carrier.factors, deg)
                 # The matrix agrees with the cochain differential.
                 for _ in range(3):
                     c = Cochain.random(module, deg, rng)
