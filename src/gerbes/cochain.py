@@ -19,8 +19,17 @@ matrix ``classes``: an int64 matrix over Z/e, e the carrier exponent, whose
 row i sends every cocycle z to (e/d_i) reduce(z)_i mod e.  It is integral
 because a class depends on z only modulo the carrier factors.  ``reduce``
 is one product with it and ``functional`` one combination of its rows.
-Kernels and coboundary solves use only the generator rows of d_n (see
-``_generator_slots``), which cut out the same cocycles.
+The kernels behind H^n use only the generator rows of d_n (see
+``_generator_slots``), which cut out the same cocycles; ``is_cocycle``
+evaluates only those rows of dc.
+
+Coboundary solves and the cocycle membership tests (``cocycle_annihilator``,
+``cocycle_relations``) run on generator coordinates instead: the values of a
+cochain on the slots whose last argument is a generator of
+``FiniteGroup.tree``.  The tree lifts them to a whole cochain, and the
+consistency rows at the slots off the tree decide which lifts are cocycles
+(see ``_tree_coordinates``).  A solve then reduces its lift to the
+primitive that a solve on bar coordinates returns, byte for byte.
 """
 
 from __future__ import annotations
@@ -41,7 +50,14 @@ from .errors import (
     SizeBound,
 )
 from .groups import Subgroup, memo
-from .linalg import Congruence, howell_relations, kernel_mod, smith_quotient, solve_mod
+from .linalg import (
+    Congruence,
+    howell_reduce_rows,
+    howell_relations,
+    kernel_mod,
+    smith_quotient,
+    solve_mod,
+)
 from .modules import GModule, Pairing, restrict_module
 
 MAX_DEGREE = 3
@@ -50,17 +66,17 @@ _PLAN_SLOT_BOUND = 4_000_000
 # (|G| = 64, degree 2 would take 7.4 GiB); 1 GiB is far above any shipped use.
 _MATRIX_BYTE_BOUND = 1 << 30
 # The object SNF behind H^n grows faster than cubically in the number of
-# cochain coordinates q^n * rank, its column count, and its cost depends on
-# the coefficients.  H^2 on a 2-core host:
-#   Z/2:      361 columns 23 s, 441 42 s, 529 69 s, 625 150 s;
+# cochain coordinates q^n * rank, its column count, and faster still with
+# the size of the coefficients.  H^2 on a 2-core host:
+#   Z/2:      361 columns 23 s, 441 (C22) 42-45 s, 529 69 s, 625 150 s;
 #   Z/4:      361 columns (C20) 66 s;
 #   Z/4(-1):  225 columns (C16) 11 s, 289 (C18) 33 s, 361 (C20) 160 s,
 #             441 (C22) over 595 s;
-#   Z/8(-1):  225 columns 27 s, 289 224 s.
-# The bound is the largest column count at which the twisted Z/4, the mu of
-# the shipped witness and of the cyclic benchmark documents, stays within
-# about two minutes.  Z/8(-1) passes two minutes sooner, at 289 columns.
-_KERNEL_COLUMN_BOUND = 289
+#   Z/8(-1):  225 columns (C16) 27-28 s, 289 (C18) 216-224 s.
+# So the bound is on the columns times the bit length of the carrier
+# exponent: 450 columns over Z/2, 300 over Z/4 and 225 over Z/8, each of
+# which stays within about two minutes.
+_KERNEL_COLUMN_BOUND = 900
 
 
 class Cochain:
@@ -144,10 +160,15 @@ def _reduced(values: Sequence[Sequence[int]] | np.ndarray, factors: tuple[int, .
     """The read-only (slots, rank) int64 array of ``values``, entry i of each row mod factors[i].
 
     Integer entries of any size reduce exactly: unsigned and object arrays
-    (Python ints past int64) are reduced as Python ints.
+    (Python ints past int64) are reduced as Python ints.  numpy infers
+    float64 for nested lists whose ints straddle 2**63, so such input is
+    rebuilt as an object array, where a real float still fails the check.
     """
     try:
-        raw = np.asarray(values).reshape(slots, len(factors))
+        raw = np.asarray(values)
+        if raw.dtype.kind == "f" and not isinstance(values, np.ndarray):
+            raw = np.asarray(values, dtype=object)
+        raw = raw.reshape(slots, len(factors))
     except ValueError:
         raise InputError(f"cochain values are not {slots} vectors of rank {len(factors)}") from None
     if raw.size == 0 or raw.dtype.kind == "i":
@@ -162,9 +183,14 @@ def _reduced(values: Sequence[Sequence[int]] | np.ndarray, factors: tuple[int, .
 
 @dataclass(frozen=True)
 class _DiffPlan:
-    """Precomputed index arrays for one differential degree."""
+    """Precomputed index arrays for the rows of one differential degree.
+
+    The output slots come in one block of ``in_slots`` per first argument
+    in ``firsts``: every element but the identity, or only the generators.
+    """
 
     degree: int
+    firsts: tuple[int, ...]
     out_slots: int
     in_slots: int
     middle: tuple[tuple[int, np.ndarray], ...]  # (sign, input index per output slot)
@@ -189,15 +215,17 @@ def _rank_of_digits(dig: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _diff_plan(module: GModule, degree: int) -> _DiffPlan:
+def _diff_plan(module: GModule, degree: int, generators_only: bool) -> _DiffPlan:
     q = module.group.order - 1
     n = degree
-    out_slots = q ** (n + 1)
+    firsts = tuple(module.group.tree[0]) if generators_only else tuple(range(1, q + 1))
+    in_slots = q**n
+    out_slots = len(firsts) * in_slots
     if out_slots > _PLAN_SLOT_BOUND:
         raise SizeBound(f"differential target has {out_slots} slots; raise the bound or shrink the group")
-    in_slots = q**n
     mt = np.asarray(module.group.table, dtype=np.int64)
     dig = _digits(out_slots, n + 1, q)
+    dig[:, 0] = np.asarray(firsts, dtype=np.int64)[dig[:, 0] - 1]
     middle = []
     sentinel = in_slots  # extra zero row in the padded value array
     for i in range(1, n + 1):
@@ -213,25 +241,31 @@ def _diff_plan(module: GModule, degree: int) -> _DiffPlan:
     last_idx = (
         _rank_of_digits(dig[:, :n], q) if n else np.zeros(out_slots, dtype=np.int64)
     )
-    return _DiffPlan(n, out_slots, in_slots, tuple(middle), (-1) ** (n + 1), last_idx)
+    return _DiffPlan(n, firsts, out_slots, in_slots, tuple(middle), (-1) ** (n + 1), last_idx)
 
 
-def _differential_array(c: Cochain) -> np.ndarray:
-    """Raw value table of dc (degree + 1), before wrapping in a Cochain."""
+def _plan(module: GModule, degree: int, generators_only: bool = False) -> _DiffPlan:
+    return memo(module, (degree, generators_only), _diff_plan, module, degree, generators_only)
+
+
+def _differential_array(c: Cochain, generators_only: bool = False) -> np.ndarray:
+    """Raw value table of dc (degree + 1), before wrapping in a Cochain.
+
+    With ``generators_only``, only the rows of ``_generator_slots``.
+    """
     module = c.module
     n = c.degree
-    q = module.group.order - 1
     k = module.rank
-    plan = memo(module, n, _diff_plan, module, n)
-    if q == 0 or k == 0:
+    plan = _plan(module, n, generators_only)
+    if not plan.out_slots or k == 0:
         return np.zeros((plan.out_slots, k), dtype=np.int64)
     vals = c.array
     padded = np.vstack([vals, np.zeros((1, k), dtype=np.int64)])
     out = np.zeros((plan.out_slots, k), dtype=np.int64)
     block = plan.in_slots
-    for g in range(1, q + 1):
+    for b, g in enumerate(plan.firsts):
         p = np.asarray(module.matrix(g), dtype=np.int64)
-        out[(g - 1) * block : g * block] += vals @ p.T
+        out[b * block : (b + 1) * block] += vals @ p.T
     for sign, idx in plan.middle:
         out += sign * padded[idx]
     out += plan.last_sign * padded[plan.last_idx]
@@ -247,8 +281,13 @@ def differential(c: Cochain) -> Cochain:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """d c == 0, for degrees 0..3."""
-    return not _differential_array(c).any()
+    """d c == 0, for degrees 0..3.
+
+    Only the rows of dc whose first argument is a generator are evaluated,
+    from a plan of q^n |S| slots instead of q^(n+1); by the lemma of
+    ``_generator_slots`` they vanish exactly when dc does.
+    """
+    return not _differential_array(c, generators_only=True).any()
 
 
 def _restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
@@ -356,7 +395,7 @@ def _differential_matrix(module: GModule, degree: int, slots: np.ndarray | None 
     mat = np.zeros((out_dim, in_dim), dtype=np.int64)
     if in_dim == 0 or out_dim == 0:
         return mat
-    plan = memo(module, degree, _diff_plan, module, degree)
+    plan = _plan(module, degree)
     # Every plan term sends an output slot to at most one input slot, so
     # each fancy-indexed add below touches every entry at most once.
     comp = np.arange(k)
@@ -371,17 +410,166 @@ def _differential_matrix(module: GModule, degree: int, slots: np.ndarray | None 
     return mat
 
 
+def _modulus(module: GModule) -> int:
+    """e = max(exponent, 2): the modulus of every elimination on scaled coordinates."""
+    return max(module.carrier.exponent, 2)
+
+
+def _scaled_rows(module: GModule, degree: int, slots: np.ndarray) -> np.ndarray:
+    """The rows of d_degree at the output ``slots`` over Z/e, row i scaled by e / d_i."""
+    e = _modulus(module)
+    scale = np.tile(e // np.asarray(module.carrier.factors, dtype=np.int64), len(slots))
+    return (_differential_matrix(module, degree, slots) * scale[:, None]) % e
+
+
 def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Generator rows of d_degree over Z/e, e = max(exponent, 2), row i scaled by e / d_i.
+    """Generator rows of d_degree over Z/e, e = ``_modulus``, row i scaled by e / d_i.
 
     Returns the matrix, its output slots (``_generator_slots``) and e; x is
     a cocycle modulo the carrier factors exactly when the matrix sends it to
     0 mod e.
     """
-    e = max(module.carrier.exponent, 2)
     slots = _generator_slots(module, degree)
-    scale = np.tile(e // np.asarray(module.carrier.factors, dtype=np.int64), len(slots))
-    return (_differential_matrix(module, degree, slots) * scale[:, None]) % e, slots, e
+    return _scaled_rows(module, degree, slots), slots, _modulus(module)
+
+
+def _product_mod(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """a @ b mod e, exactly, for int64 entries in [0, e).
+
+    In int64 while the inner dimension times (e - 1)**2 stays below 2**63,
+    in Python ints otherwise.
+    """
+    if a.shape[-1] * (e - 1) ** 2 < 1 << 63:
+        return a @ b % e
+    return (a.astype(object) @ b.astype(object) % e).astype(np.int64)
+
+
+def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """The cochains c with generator coordinates ``v`` and dc = y on the tree slots, over Z/e.
+
+    ``v`` is a (generator slots, rank, columns) array, one cochain per
+    column; ``y`` is the value array of a (degree + 1)-cocycle, or None for
+    0.  Along each tree step x s (x != 1, s a generator), for every g:
+
+        c(g, x s) = y(g, x, s) + c(g, x) + c(g x, s) - g.c(x, s)   (degree 2)
+        c(x s) = x.c(s) + c(x) - y(x, s)                             (degree 1)
+
+    and c = v in degree 0.  Returns the (q^degree rank, columns) array.
+    Every step is reduced mod e, so each entry before the reduction is
+    below k e^2 + 3e, inside int64 by GModule's bound k e^2 < 2^62.
+    """
+    group = module.group
+    q, k, e = group.order - 1, module.rank, _modulus(module)
+    gens, steps = group.tree
+    batch = v.shape[-1]
+    if degree == 0:
+        return v.reshape(k, batch) % e
+    acting = np.asarray([module.matrix(g) for g in range(q + 1)], dtype=np.int64)
+    # Indexed by group elements: the identity's entries stay 0, as in a
+    # normalized cochain.
+    c = np.zeros((q + 1,) * degree + (k, batch), dtype=np.int64)
+    if degree == 1:
+        c[gens] = v
+        ys = None if y is None else y.reshape(q, q, k, 1)
+        for target, x, i in steps[len(gens):]:
+            s = gens[i]
+            step = acting[x] @ c[s] + c[x]
+            c[target] = (step if ys is None else step - ys[x - 1, s - 1]) % e
+        return c[1:].reshape(q * k, batch)
+    c[1:, gens] = v.reshape(q, len(gens), k, batch)
+    table = np.asarray(group.table, dtype=np.int64)
+    ys = None if y is None else y.reshape(q, q, q, k, 1)
+    for target, x, i in steps[len(gens):]:
+        s = gens[i]
+        step = c[1:, x] + c[table[1:, x], s] - acting[1:] @ c[x, s]
+        c[1:, target] = (step if ys is None else step + ys[:, x - 1, s - 1]) % e
+    return c[1:, 1:].reshape(q * q * k, batch)
+
+
+@dataclass(frozen=True)
+class _TreeCoordinates:
+    """The generator coordinates of degree-n cochains, over Z/e.
+
+    ``lift`` is R, the matrix of ``_lift`` with y = 0; ``rows`` are the
+    scaled rows of d_n at ``row_slots``, the slots off the tree; and
+    ``consistency`` is A = rows @ R.
+    """
+
+    e: int
+    lift: np.ndarray
+    row_slots: np.ndarray
+    rows: np.ndarray
+    consistency: np.ndarray
+
+
+def _tree_coordinates(module: GModule, degree: int) -> _TreeCoordinates:
+    """The lift and consistency rows of degree-n cochains, n = ``degree`` in 0..2.
+
+    The generator coordinates of c are its values on the slots whose last
+    argument is a generator s of ``FiniteGroup.tree``: (g, s) in degree 2,
+    s in degree 1, c itself in degree 0.  The consistency rows are the
+    scaled rows of d_n at the slots (..., x, s), x != 1, where (x, s) is
+    not a tree step; in degree 0 they are the generator rows and R = I.
+
+    Lemma: for a cocycle y of degree n + 1, the solutions of dc = y are
+    exactly the c = lift(v, y) (``_lift``) with A v == rhs (mod e), rhs
+    the scaled y minus the rows applied to lift(0, y), both at the slots
+    off the tree.  Proof: a solution satisfies the recursion of ``_lift``,
+    so it is the lift of its own generator coordinates.  Conversely
+    w = d(lift(v, y)) - y is a cocycle that vanishes on the tree slots by
+    construction, and A v == rhs says it vanishes off the tree too, so on
+    every slot whose last argument is a generator.  Then in
+    dw(a, ..., b, s) = 0 only +-(w(..., b s) - w(..., b)) survives, and
+    the tree carries w(..., .) = 0 from w(..., 1) = 0.  In degree 0 it
+    is the lemma of ``_generator_slots``.  With y = 0 the cocycles are
+    lift(ker A, 0), modulo the carrier factors.
+    """
+    group = module.group
+    q, k = group.order - 1, module.rank
+    gens, steps = group.tree
+    if degree == 0:
+        row_slots = _generator_slots(module, 0)
+    else:
+        tree = {(x, gens[i]) for _, x, i in steps}
+        off = [(x - 1) * q + s - 1 for x in range(1, q + 1) for s in gens if (x, s) not in tree]
+        row_slots = (np.arange(q ** (degree - 1))[:, None] * q * q + np.asarray(off, dtype=np.int64)).ravel()
+    count = q ** (degree - 1) * len(gens) if degree else 1
+    width = count * k
+    lift = _lift(module, degree, np.identity(width, dtype=np.int64).reshape(count, k, width))
+    rows = _scaled_rows(module, degree, row_slots)
+    e = _modulus(module)
+    # A row of d_n has at most k + n + 1 entries, each reduced into [0, e),
+    # so every entry of rows @ lift is below (k + 4) e^2 < 2^63, by
+    # GModule's k e^2 < 2^62 and e < 2^30.
+    return _TreeCoordinates(e, lift, row_slots, rows, rows @ lift % e)
+
+
+def _coordinates(module: GModule, degree: int) -> _TreeCoordinates:
+    return memo(module, degree, _tree_coordinates, module, degree)
+
+
+def _carrier_columns(module: GModule, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of degree-n cochains whose carrier factor d is below e, and those d."""
+    factors = np.tile(np.asarray(module.carrier.factors, dtype=np.int64), (module.group.order - 1) ** degree)
+    cols = np.flatnonzero(factors < _modulus(module))
+    return cols, factors[cols]
+
+
+def _cocycle_rows(module: GModule, degree: int) -> np.ndarray:
+    """Howell rows, columns reversed, of the cocycles in the scaled coordinates over Z/e.
+
+    These are the x with x mod the carrier factors a cocycle: the lifts of
+    ker A (``_tree_coordinates``) plus d e_j for each coordinate j whose
+    factor d is below e.
+    """
+    tc = _coordinates(module, degree)
+    e = tc.e
+    width = tc.lift.shape[1]
+    kernel = howell_relations(tc.consistency.T, np.identity(width, dtype=np.int64), e)
+    cols, factors = _carrier_columns(module, degree)
+    carrier = np.zeros((len(cols), tc.lift.shape[0]), dtype=np.int64)
+    carrier[np.arange(len(cols)), cols] = factors
+    return howell_reduce_rows(np.vstack([_product_mod(kernel, tc.lift.T, e), carrier])[:, ::-1], e)
 
 
 class CohomologyGroup:
@@ -409,10 +597,12 @@ class CohomologyGroup:
             self.classes = np.zeros((0, q**degree * module.rank), dtype=np.int64)
             self.classes.flags.writeable = False
             return
-        if q**degree * module.rank > _KERNEL_COLUMN_BOUND:
+        columns = q**degree * module.rank
+        bits = module.carrier.exponent.bit_length()
+        if columns * bits > _KERNEL_COLUMN_BOUND:
             raise SizeBound(
-                f"H^{degree} over a group of order {q + 1} has {q**degree * module.rank} "
-                f"cochain coordinates, past the bound of {_KERNEL_COLUMN_BOUND}"
+                f"H^{degree} over a group of order {q + 1} has {columns} cochain coordinates "
+                f"of {bits} bits, past the bound of {_KERNEL_COLUMN_BOUND} on their product"
             )
         a_scaled, _, e = memo(module, degree, _scaled_differential, module, degree)
         kernel = kernel_mod(a_scaled, e)
@@ -514,10 +704,18 @@ def cohomology(module: GModule, degree: int) -> CohomologyGroup:
 def solve_coboundary(y: Cochain) -> CoboundaryResult:
     """Find c with dc = y, or certify that no primitive exists.
 
-    ``y`` must be a cocycle of degree 1..3.  The solution is the
-    deterministic minimal one produced by Howell back-substitution; on
-    failure the certificate carries the nonzero reduced class (degrees 1
-    and 2) or the unsatisfiable congruences (degree 3).
+    ``y`` must be a cocycle of degree 1..3.  The primitive is the one that
+    Howell back-substitution on the bar coordinates over Z/e returns: every
+    free coordinate 0 and every pivot coordinate least given the later
+    ones, which is the reverse-lexicographically least solution and so
+    depends only on the solution set.  It is found on generator
+    coordinates: a solution v of A v == rhs gives the primitive
+    lift(v, y) (the lemma of ``_tree_coordinates``), which is reduced to
+    that least solution by the Howell rows of the cocycles, columns
+    reversed (``_cocycle_rows``).  When A v == rhs has no solution, no
+    primitive exists, and the certificate carries the nonzero reduced class
+    (degrees 1 and 2) and the unsatisfiable congruences of the solve on the
+    generator rows of d_{n-1} (``_scaled_differential``).
     """
     n = y.degree
     if not 1 <= n <= MAX_DEGREE:
@@ -529,36 +727,66 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     q = module.group.order - 1
     if k == 0 or q == 0:
         return CoboundaryResult(Cochain.zero(module, n - 1), None)
-    b_scaled, slots, e = memo(module, n - 1, _scaled_differential, module, n - 1)
+    tc = _coordinates(module, n - 1)
+    e = tc.e
     scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
-    x, failed = solve_mod(b_scaled, (y.array[slots] * scale % e).ravel(), e)
-    if x is None:
-        coords: tuple[int, ...] | None = None
-        if n <= 2:
-            coords = cohomology(module, n).reduce(y)
-        return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
-    c = Cochain(module, n - 1, np.reshape(x, (-1, k)))
+    base = _lift(module, n - 1, np.zeros((tc.lift.shape[1] // k, k, 1), dtype=np.int64), y.array)[:, 0]
+    # rows @ base is below (k + 4) e^2, as in ``_tree_coordinates``.
+    rhs = ((y.array[tc.row_slots] * scale).ravel() - tc.rows @ base) % e
+    v, _ = solve_mod(tc.consistency, rhs, e)
+    if v is None:
+        return _obstruction(y)
+    x = (base + _product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
+    for row in memo(module, n - 1, _cocycle_rows, module, n - 1):
+        p = int(np.flatnonzero(row)[0])
+        x = (x - x[p] // row[p] * row) % e
+    c = Cochain(module, n - 1, x[::-1].reshape(-1, k))
     if differential(c) != y:
         raise GerbesError("coboundary solver produced an invalid primitive")
     return CoboundaryResult(c, None)
 
 
+def _obstruction(y: Cochain) -> CoboundaryResult:
+    """The certificate that the cocycle ``y`` has no primitive, as a solve on bar coordinates gives it."""
+    n = y.degree
+    module = y.module
+    b_scaled, slots, e = memo(module, n - 1, _scaled_differential, module, n - 1)
+    scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
+    x, failed = solve_mod(b_scaled, (y.array[slots] * scale % e).ravel(), e)
+    if x is not None:
+        raise GerbesError("the generator-coordinate solve missed a primitive")
+    coords = cohomology(module, n).reduce(y) if n <= 2 else None
+    return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
+
+
+def _carrier_values(module: GModule, degree: int, phis: np.ndarray) -> np.ndarray:
+    """The values phis_j d_j mod e of phis on the cocycles d_j e_j, for each d_j below e."""
+    cols, factors = _carrier_columns(module, degree)
+    return phis[..., cols] * factors % _modulus(module)
+
+
 def cocycle_annihilator(module: GModule, degree: int, phi: Sequence[int]) -> np.ndarray | None:
     """Certify that a row vector phi on C^degree vanishes on every cocycle.
 
-    Coordinates are those of ``_scaled_differential`` over Z/e.  phi kills
-    the cocycles, the kernel of d_degree, exactly when it lies in the row
-    span of d_degree mod e, because Z/e is quasi-Frobenius, so a submodule
-    is its double annihilator; the generator rows span the same module.
-    Returns y with y . d_degree^S == phi (mod e), checked by one exact
-    product, or None when some cocycle has phi . z != 0.
+    Coordinates are the scaled ones over Z/e of ``_scaled_differential``.
+    The cocycles are the lifts R v with A v == 0, plus d_j e_j wherever the
+    carrier factor d_j is below e (``_tree_coordinates``).  So phi kills
+    them exactly when phi_j d_j == 0 (mod e) for those j and phi R lies in
+    the row span of A mod e, because Z/e is quasi-Frobenius, so a
+    submodule is its double annihilator.  Returns y with y A == phi R
+    (mod e), checked by one exact product, or None when some cocycle has
+    phi . z != 0.
     """
-    rows, _, e = memo(module, degree, _scaled_differential, module, degree)
+    tc = _coordinates(module, degree)
+    e = tc.e
     phi = np.asarray(phi, dtype=np.int64) % e
-    y, _ = solve_mod(rows.T, phi.tolist(), e)
+    if _carrier_values(module, degree, phi).any():
+        return None
+    target = _product_mod(phi, tc.lift, e)
+    y, _ = solve_mod(tc.consistency.T, target, e)
     if y is None:
         return None
-    if ((np.asarray(y, dtype=object) @ rows - phi) % e).any():
+    if ((np.asarray(y, dtype=object) @ tc.consistency - target) % e).any():
         raise GerbesError("cocycle annihilator certificate failed its exact check")
     return np.asarray(y, dtype=np.int64)
 
@@ -567,14 +795,19 @@ def cocycle_relations(module: GModule, degree: int, phis: np.ndarray, tags: np.n
     """Howell rows spanning {c @ tags : c @ phis vanishes on every cocycle} over Z/e.
 
     ``phis`` holds one row vector on C^degree per row, in the coordinates
-    of ``_scaled_differential``.  As in ``cocycle_annihilator``, c @ phis
-    kills the cocycles exactly when it lies in the row span of d_degree^S,
-    so these are ``linalg.howell_relations`` of [d_degree^S ; phis] against
-    [0 ; tags].
+    of ``cocycle_annihilator``.  As there, c @ phis kills the cocycles
+    exactly when c @ phis @ R lies in the row span of A and c @ phis_j d_j
+    vanishes wherever d_j is below e, so these are ``linalg.howell_relations``
+    of [A, 0 ; phis R, phis_j d_j] against [0 ; tags].
     """
-    rows, _, e = memo(module, degree, _scaled_differential, module, degree)
-    zeros = np.zeros((len(rows), tags.shape[1]), dtype=np.int64)
-    return howell_relations(np.vstack([rows, phis]), np.vstack([zeros, tags]), e)
+    tc = _coordinates(module, degree)
+    e = tc.e
+    phis = np.asarray(phis, dtype=np.int64) % e
+    carrier = _carrier_values(module, degree, phis)
+    consistency = np.hstack([tc.consistency, np.zeros((len(tc.consistency), carrier.shape[1]), dtype=np.int64)])
+    left = np.vstack([consistency, np.hstack([_product_mod(phis, tc.lift, e), carrier])])
+    zeros = np.zeros((len(consistency), tags.shape[1]), dtype=np.int64)
+    return howell_relations(left, np.vstack([zeros, tags]), e)
 
 
 def random_cocycle(coh: CohomologyGroup, rng: random.Random) -> Cochain:

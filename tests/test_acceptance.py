@@ -6,6 +6,7 @@ same code; this module asserts each one and additionally checks that two
 full CLI selftest runs emit byte-identical JSON.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,10 @@ from pathlib import Path
 
 import gerbes
 from gerbes import selftest as st
+
+# sha256 of the CLI selftest JSON, recorded before coboundary solves moved
+# to generator coordinates; any later change of the report shows here.
+SELFTEST_SHA256 = "bfc83507df0e7e6cbe467853cfba4250b17083d619e907b07e9c0192a9cd95e8"
 
 
 def _run(result):
@@ -78,3 +83,4 @@ def test_criterion_10_cli_selftest_byte_identical():
         outs.append(proc.stdout)
     print(f"[PASS] criterion 10 (CLI): two selftest runs, {len(outs[0])} identical bytes")
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == SELFTEST_SHA256

@@ -462,3 +462,46 @@ def test_model_check_past_the_column_bound_exits_2_fast(tmp_path, capsys):
     assert run(["model", "check", str(path)]) == 2
     assert time.perf_counter() - start < 2.0
     assert "441 cochain coordinates" in capsys.readouterr().err
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py loaded by path, with its sibling imports."""
+    import importlib.util
+    import sys
+
+    added = [name for name in ("inputs", "oracle") if name not in sys.modules]
+    sys.path.insert(0, str(WORKLOADS.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(WORKLOADS.parent))
+        for name in added:
+            sys.modules.pop(name, None)
+    return workloads
+
+
+def test_mh_and_factorization_cope_at_c62(tmp_path, capsys):
+    """m_H on the benchmark's C62 document.  Its degree-3 solve has 61
+    generator coordinates, and its cocycle check reads 61^3 slots, not the
+    61^4 that passed the plan bound."""
+    import random
+    import time
+
+    doc = _benchmark_workloads().cyclic_document(62, random.Random(0))
+    path = tmp_path / "c62.json"
+    path.write_text(canonical_json(doc))
+    start = time.perf_counter()
+    assert run(["gerbe", "mh", str(path), "--output", "json"]) == 0
+    mh = json.loads(capsys.readouterr().out)["result"]
+    assert run(["verify", "factorization", str(path), "--output", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)["result"]
+    assert time.perf_counter() - start < 60.0
+    assert mh["domain_factors"] == [2] and mh["values"] == ["0/1"]
+    assert check["holds"]
+    for side in (check["via_extension"], check["via_pushout"]):
+        assert side["domain_factors"] == [2] and side["values"] == ["0/1"]

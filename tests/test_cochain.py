@@ -133,6 +133,15 @@ def test_coprime_cohomology_is_built_without_elimination(no_kernel):
             assert h.reduce(Cochain.zero(module, deg)) == ()
 
 
+def test_column_bound_refuses_twisted_z8_over_c18(no_kernel):
+    """H^2(C18, Z/8(-1)) has 289 coordinates, under the bound for Z/4 but
+    weighted by the 4 bits of 8 past it: its Smith step took 224 s."""
+    m = cyclic_module(cyclic_group(18), 8, {x: 7 for x in range(1, 18, 2)})
+    with pytest.raises(SizeBound, match="289 cochain coordinates"):
+        cohomology(m, 2)
+    assert m._memo == {}
+
+
 def test_column_bound_refuses_twisted_z4_over_c20(no_kernel):
     """H^2(C20, Z/4(-1)) has 361 coordinates; its Smith step takes minutes,
     so it is refused before the kernel is computed and nothing is cached."""
@@ -413,6 +422,11 @@ def test_constructor_reduces_exactly_and_checks_its_input():
         Cochain(m, 1, np.zeros((3, 2)))
     with pytest.raises(InputError, match="dtype"):
         Cochain(m, 1, [(0.5, 0)] * 3)
+    # numpy infers float64 for lists whose ints straddle 2**63.
+    for raw, want in (((0, 2**63), (0, 0)), ((2**63, 1), (0, 1)), ((-1, 2**64 - 1), (1, 3))):
+        assert Cochain(m, 1, [raw] * 3).values == (want,) * 3
+    with pytest.raises(InputError, match="dtype"):
+        Cochain(m, 1, [(0.5, 1)] * 3)
     with pytest.raises(ValueError):
         c.array[0, 0] = 0
     twin = Cochain(m, 1, [(1, 3), (1, 1), (1, 2)])
@@ -430,6 +444,15 @@ def _twisted_modules(group, odd):
     ]
 
 
+def _d4_odd():
+    """The elements of D4 outside its cyclic subgroup of order 4."""
+    d4 = dihedral_group(4)
+    rotations = next(
+        s for s in (Subgroup.generated_by(d4, [x]) for x in range(d4.order)) if s.order == 4
+    )
+    return d4, [g for g in range(d4.order) if g not in rotations.elements]
+
+
 def _class_cases():
     """(module, degrees): the oracle family, twisted cyclic modules over C4..C16
     and D4 with Z/2 x Z/4, in every degree whose H^n has at most 100 coordinates."""
@@ -441,12 +464,8 @@ def _class_cases():
     for n in (4, 6, 8, 10, 12, 16):
         for module in _twisted_modules(cyclic_group(n), range(1, n, 2)):
             yield module, tuple(d for d in (0, 1, 2) if (n - 1) ** d * module.rank <= 100)
-    d4 = dihedral_group(4)
-    rotations = next(
-        s for s in (Subgroup.generated_by(d4, [x]) for x in range(d4.order)) if s.order == 4
-    )
+    d4, odd = _d4_odd()
     yield trivial_module(d4, (2, 4)), (0, 1, 2)
-    odd = [g for g in range(d4.order) if g not in rotations.elements]
     yield _twisted_modules(d4, odd)[2], (0, 1, 2)
 
 
@@ -520,3 +539,142 @@ def test_class_matrix_contract(monkeypatch):
         lam = coh.functional([e // d for d in coh.factors], e)
         want = sum(e // d * c for d, c in zip(coh.factors, coords)) % e
         assert int((lam * z.array.ravel() % e).sum()) % e == want
+
+
+def _solve_cases():
+    """The oracle family, Z/4(-1) and Z/8(-1) over C4..C16, and Z/2 x Z/4,
+    trivial and twisted, over C8 and D4."""
+    from gerbes.fixtures import oracle_groups, oracle_modules
+
+    for _, group in oracle_groups():
+        for _, module in oracle_modules(group):
+            yield module
+    for n in (4, 6, 8, 10, 12, 16):
+        yield from _twisted_modules(cyclic_group(n), range(1, n, 2))[:2]
+    c8 = cyclic_group(8)
+    d4, odd = _d4_odd()
+    yield trivial_module(c8, (2, 4))
+    yield _twisted_modules(c8, range(1, 8, 2))[2]
+    yield trivial_module(d4, (2, 4))
+    yield _twisted_modules(d4, odd)[2]
+
+
+def _bar_solve(y):
+    """solve_coboundary as a solve on the bar coordinates of the generator rows of d_{n-1}."""
+    from gerbes.cochain import CoboundaryResult, ObstructionCertificate, _scaled_differential
+    from gerbes.linalg import solve_mod
+
+    module, n = y.module, y.degree
+    rows, slots, e = _scaled_differential(module, n - 1)
+    scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
+    x, failed = solve_mod(rows, (y.array[slots] * scale % e).ravel(), e)
+    if x is None:
+        coords = cohomology(module, n).reduce(y) if n <= 2 else None
+        return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
+    return CoboundaryResult(np.reshape(x, (-1, module.rank)), None)
+
+
+def test_solve_coboundary_equals_the_bar_coordinate_solve():
+    """The primitive is the one a bar-coordinate solve returns, unreduced
+    entries included, and an obstruction carries the same certificate."""
+    rng = random.Random(13)
+    for module in _solve_cases():
+        cocycles = []
+        for n in (1, 2, 3):
+            cocycles += [differential(Cochain.random(module, n - 1, rng)) for _ in range(2)]
+        q = module.group.order - 1
+        for n in (1, 2) if q**2 * module.rank <= 64 else (1,):
+            coh = cohomology(module, n)
+            cocycles += [random_cocycle(coh, rng) for _ in range(2)]
+        if q <= 7 and module.rank == 1 and all(m == module.matrix(0) for m in module.action):
+            pair = Pairing(module, module, module, [[(1,)]])
+            h1, h2 = cohomology(module, 1), cohomology(module, 2)
+            cocycles += [cup(random_cocycle(h1, rng), random_cocycle(h2, rng), pair) for _ in range(2)]
+        for y in cocycles:
+            got, want = solve_coboundary(y), _bar_solve(y)
+            assert got.certificate == want.certificate, (module, y.degree)
+            if want.primitive is not None:
+                assert np.array_equal(got.primitive.array, want.primitive), (module, y.degree)
+
+
+def test_generator_coordinate_paths_skip_the_bar_rows(monkeypatch):
+    """A successful solve and both membership tests build no bar-coordinate
+    rows of d_{n-1}, and a solve eliminates on one column per generator
+    coordinate of the primitive: q^(n-2) |S| k, or k in degree 1."""
+    from gerbes import cochain
+    from gerbes.cochain import _scaled_differential, cocycle_annihilator, cocycle_relations
+
+    widths = []
+    real = cochain.solve_mod
+
+    def spy(a, y, e):
+        widths.append(a.shape[1])
+        return real(a, y, e)
+
+    monkeypatch.setattr(cochain, "solve_mod", spy)
+    rng = random.Random(5)
+    d4, odd = _d4_odd()
+    for module in (
+        _twisted_modules(cyclic_group(10), range(1, 10, 2))[0],
+        _twisted_modules(d4, odd)[2],
+    ):
+        q, k, s = module.group.order - 1, module.rank, len(module.group.tree[0])
+        for n in (1, 2, 3):
+            widths.clear()
+            assert solve_coboundary(differential(Cochain.random(module, n - 1, rng))).primitive is not None
+            assert widths == [q ** (n - 2) * s * k if n >= 2 else k]
+            assert (_scaled_differential, n - 1) not in module._memo
+        phi = np.zeros(q**2 * k, dtype=np.int64)
+        assert cocycle_annihilator(module, 2, phi) is not None
+        cocycle_relations(module, 2, phi[None, :], np.ones((1, 1), dtype=np.int64))
+        assert (_scaled_differential, 2) not in module._memo
+
+
+def test_generator_row_cocycle_check_agrees_with_d3():
+    """is_cocycle on degree-3 cochains reads only the generator rows of d_3,
+    yet agrees with the whole matrix, and never builds the full d_3 plan."""
+    from gerbes.cochain import _DiffPlan, _differential_matrix
+
+    rng = random.Random(17)
+    d4, odd = _d4_odd()
+    for module in (
+        trivial_module(cyclic_group(6), (2,)),
+        _twisted_modules(cyclic_group(8), range(1, 8, 2))[1],
+        _twisted_modules(d4, odd)[2],
+        trivial_module(symmetric_group(3), (2, 2)),
+    ):
+        q = module.group.order - 1
+        cochains = [Cochain.random(module, 3, rng) for _ in range(4)]
+        for _ in range(4):
+            dc = differential(Cochain.random(module, 2, rng))
+            # A coboundary changed at one slot whose first argument is no
+            # generator, which only the other rows see directly.
+            slot = rng.randrange((q - 1) * q**2, q**3) if q > 1 else 0
+            bump = np.zeros_like(dc.array)
+            bump[slot, 0] = 1
+            cochains += [dc, dc + Cochain(module, 3, bump)]
+        verdicts = [is_cocycle(c) for c in cochains]
+        plans = [p for p in module._memo.values() if isinstance(p, _DiffPlan) and p.degree == 3]
+        assert plans and all(p.out_slots < q**4 for p in plans)
+        full = _differential_matrix(module, 3)
+        moduli = np.tile(np.asarray(module.carrier.factors, dtype=np.int64), q**4)
+        want = [not (full @ c.array.ravel() % moduli).any() for c in cochains]
+        assert verdicts == want and any(want) and not all(want)
+
+
+def test_membership_on_empty_cochain_spaces():
+    """Over the trivial group, or with the zero module, the cochain space
+    has no coordinates (degree 0 over the trivial group aside): the zero
+    functional kills every cocycle and every tag is a relation."""
+    from gerbes.cochain import cocycle_annihilator, cocycle_relations
+
+    for module in (trivial_module(cyclic_group(1), (2,)), trivial_module(cyclic_group(2), ())):
+        q, k = module.group.order - 1, module.rank
+        for deg in (0, 1, 2):
+            width = q**deg * k
+            assert cocycle_annihilator(module, deg, np.zeros(width, dtype=np.int64)) is not None
+            tags = np.ones((1, 1), dtype=np.int64)
+            rel = cocycle_relations(module, deg, np.zeros((1, width), dtype=np.int64), tags)
+            assert rel.tolist() == [[1]]
+    point = trivial_module(cyclic_group(1), (2,))
+    assert cocycle_annihilator(point, 0, [1]) is None
