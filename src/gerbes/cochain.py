@@ -538,10 +538,23 @@ def _tree_coordinates(module: GModule, degree: int) -> _TreeCoordinates:
     lift = _lift(module, degree, np.identity(width, dtype=np.int64).reshape(count, k, width))
     rows = _scaled_rows(module, degree, row_slots)
     e = _modulus(module)
-    # A row of d_n has at most k + n + 1 entries, each reduced into [0, e),
-    # so every entry of rows @ lift is below (k + 4) e^2 < 2^63, by
-    # GModule's k e^2 < 2^62 and e < 2^30.
-    return _TreeCoordinates(e, lift, row_slots, rows, rows @ lift % e)
+    return _TreeCoordinates(e, lift, row_slots, rows, _sparse_product_mod(rows, lift, e))
+
+
+def _sparse_product_mod(rows: np.ndarray, lift: np.ndarray, e: int) -> np.ndarray:
+    """rows @ lift mod e, summed over the nonzero entries of each row of ``rows``.
+
+    A row of d_n has at most k + n + 1 entries, each reduced into [0, e),
+    so every sum is below (k + 4) e^2 < 2^63, by GModule's k e^2 < 2^62
+    and e < 2^30.  Numpy has no BLAS path for int64, and the dense product
+    spends nearly all its time on zeros.
+    """
+    r, c = np.nonzero(rows)
+    out = np.zeros((rows.shape[0], lift.shape[1]), dtype=np.int64)
+    if len(r):
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        out[r[starts]] = np.add.reduceat(rows[r, c][:, None] * lift[c], starts, axis=0) % e
+    return out
 
 
 def _coordinates(module: GModule, degree: int) -> _TreeCoordinates:
@@ -731,7 +744,7 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     e = tc.e
     scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
     base = _lift(module, n - 1, np.zeros((tc.lift.shape[1] // k, k, 1), dtype=np.int64), y.array)[:, 0]
-    # rows @ base is below (k + 4) e^2, as in ``_tree_coordinates``.
+    # rows @ base is below (k + 4) e^2, as in ``_sparse_product_mod``.
     rhs = ((y.array[tc.row_slots] * scale).ravel() - tc.rows @ base) % e
     v, _ = solve_mod(tc.consistency, rhs, e)
     if v is None:

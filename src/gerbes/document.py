@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from typing import Any
+from typing import Any, Callable
 
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
 from .cochain import Cochain, CohomologyGroup
@@ -46,6 +47,8 @@ from .gerbe import BMFunctional, BMTrace, FactorizationReport, GerbeExtension
 from .groups import DEFAULT_CLOSURE_BOUND, FiniteGroup, GroupHom, Subgroup, build_group
 from .modules import GModule, cyclic_module
 from .finab import FinAb
+
+_INT = {int}
 
 
 @dataclass
@@ -148,6 +151,9 @@ def _integer(value: Any, field: str) -> int:
 
 
 def _integers(values: Any, field: str) -> list[int]:
+    """A list of JSON integers; one type scan passes a list of exact ints."""
+    if type(values) is list and _INT.issuperset(map(type, values)):
+        return list(values)
     return [_integer(x, field) for x in values]
 
 
@@ -254,8 +260,122 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
 
 
 def canonical_json(obj: Any) -> str:
-    """Sorted-key JSON with a trailing newline; byte-stable across runs."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted-key JSON with a trailing newline; byte-stable across runs.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    for every JSON-serializable tree, and an object the standard encoder
+    refuses raises the standard encoder's exception.  With ``indent`` set
+    the standard library encodes in pure Python; ``_write`` appends the
+    pieces to one list instead, joined once, and fills a list of exact
+    ints, or a rectangular list of such lists, into one template.
+    """
+    parts: list[str] = []
+    try:
+        _write(obj, "\n", parts.append)
+    except RecursionError:
+        # Circular containers raise ValueError there, too-deep ones RecursionError.
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INDENT = "  "
+_intstr = int.__repr__
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+_LIST = {list}
+
+
+def _floatstr(x: float) -> str:
+    """The standard encoder's spelling of a float, NaN and infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key: Any) -> str:
+    """An object key as the standard encoder converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _floatstr(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _intstr(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
+    """Pass ``o``, as the standard encoder writes it with indent 2, to ``out``
+    in pieces; ``nl`` is the newline and indentation of the line ``o`` is on.
+
+    Dispatch follows ``json.encoder._make_iterencode``: str, None, True,
+    False, int, float, list or tuple, dict.  Only the fast paths test exact
+    types (a bool is not an exact int), so subclasses take the general
+    path, as there.
+    """
+    if isinstance(o, str):
+        out(_encode_str(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(_intstr(o))
+    elif isinstance(o, float):
+        out(_floatstr(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = nl + _INDENT
+        if type(o) is list or type(o) is tuple:
+            # Exact ints, or rectangular rows of them, fill one printf-style
+            # template: %d spells an exact int as int.__repr__ does.
+            kinds = set(map(type, o))
+            if kinds == _INT:
+                cells = ("," + inner).join(["%d"] * len(o))
+                out(f"[{inner}{cells}{nl}]" % tuple(o))
+                return
+            widths = set(map(len, o)) if kinds == _LIST else ()
+            if len(widths) == 1 and 0 not in widths:
+                flat = tuple(chain.from_iterable(o))
+                if set(map(type, flat)) == _INT:
+                    cell = inner + _INDENT
+                    row = ("," + cell).join(["%d"] * len(o[0]))
+                    rows = f"{inner}],{inner}[{cell}".join([row] * len(o))
+                    out(f"[{inner}[{cell}{rows}{inner}]{nl}]" % flat)
+                    return
+        sep = "[" + inner
+        for x in o:
+            out(sep)
+            sep = "," + inner
+            _write(x, inner, out)
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + _INDENT
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out(f"{sep}{_encode_str(k if type(k) is str else _key(k))}: ")
+            sep = "," + inner
+            _write(v, inner, out)
+        out(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def group_json(group: FiniteGroup) -> dict[str, Any]:

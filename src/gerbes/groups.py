@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     ClosureExceedsBound,
     GerbesError,
@@ -70,6 +72,22 @@ def spanning_tree(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple
     return gens, steps
 
 
+def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """``rows`` as an integer array, after checking every entry is in [0, n).
+
+    An entry out of range raises InputError naming the first one in row
+    order; entries past int64 are out of range, and are compared as Python ints.
+    """
+    try:
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:
+        arr = np.array(rows, dtype=object).reshape(len(rows), n)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise InputError(f"table entry {int(arr.flat[bad.argmax()])} out of range [0, {n})")
+    return arr
+
+
 class FiniteGroup:
     """Immutable finite group on {0, ..., order-1} with identity 0.
 
@@ -87,44 +105,48 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
-        tab = []
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise InputError(f"row {i} has length {len(row)}, expected {n}")
-            r = tuple(int(x) for x in row)
-            for x in r:
-                if not 0 <= x < n:
-                    raise InputError(f"table entry {x} out of range [0, {n})")
-            tab.append(r)
+        short = next((i for i, row in enumerate(table) if len(row) != n), n)
+        arr = _table_array(table[:short], n)
+        if short < n:
+            raise InputError(f"row {short} has length {len(table[short])}, expected {n}")
         self.order = n
-        self.table: tuple[tuple[int, ...], ...] = tuple(tab)
+        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, arr.tolist()))
         self.name = name
         if labels is not None and len(labels) != n:
             raise InputError("labels length does not match group order")
         self.labels = tuple(labels) if labels is not None else None
-        self.inv: tuple[int, ...] = self._validate()
+        self.inv: tuple[int, ...] = self._validate(arr.astype(np.min_scalar_type(n)))
         self._memo: dict = {}
 
-    def _validate(self) -> tuple[int, ...]:
-        n, tab = self.order, self.table
-        for a in range(n):
-            if tab[0][a] != a or tab[a][0] != a:
-                raise NoIdentity(f"index 0 is not a two-sided identity at element {a}")
+    def _validate(self, t: np.ndarray) -> tuple[int, ...]:
+        """The inverses, after checking the table ``t`` as arrays.
+
+        Each failure names the first element, or ``(a, s, c)``, in the
+        order of a loop over the generators s, then a, then c.
+        """
+        n = self.order
+        idx = np.arange(n)
+        bad = (t[0] != idx) | (t[:, 0] != idx)
+        if bad.any():
+            raise NoIdentity(f"index 0 is not a two-sided identity at element {bad.argmax()}")
         # Light's test (see ``tree``): the s with (a s) c == a (s c) for all
-        # a, c are closed under products.
+        # a, c are closed under products.  Rows go in blocks of about 2^22
+        # entries, so the temporaries stay small at every order.
+        block = max(1, (1 << 22) // n)
         for s in self.tree[0]:
-            for a, row in enumerate(tab):
-                left = tab[row[s]]
-                right = tuple([row[x] for x in tab[s]])
-                if left != right:
-                    c = next(c for c in range(n) if left[c] != right[c])
+            for lo in range(0, n, block):
+                rows = t[lo : lo + block]
+                bad = t[rows[:, s]] != rows[:, t[s]]
+                if bad.any():
+                    a, c = divmod(lo * n + int(bad.argmax()), n)
                     raise NonAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})")
         # In a finite monoid a b = 1 makes x -> b x injective, so b c = 1 for
         # some c, and c = (a b) c = a: right inverses are two-sided.
-        for a, row in enumerate(tab):
-            if 0 not in row:
-                raise NoInverse(f"element {a} has no two-sided inverse")
-        return tuple(row.index(0) for row in tab)
+        zero = t == 0
+        has = zero.any(axis=1)
+        if not has.all():
+            raise NoInverse(f"element {has.argmin()} has no two-sided inverse")
+        return tuple(zero.argmax(axis=1).tolist())
 
     @cached_property
     def tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:

@@ -505,3 +505,28 @@ def test_mh_and_factorization_cope_at_c62(tmp_path, capsys):
     assert check["holds"]
     for side in (check["via_extension"], check["via_pushout"]):
         assert side["domain_factors"] == [2] and side["values"] == ["0/1"]
+
+
+@pytest.mark.parametrize("docname", ["witness", "q8", "cyclic_c22"])
+def test_json_output_is_the_stdlib_encoding_of_itself(docname, tmp_path, capsys):
+    """Every command's `--output json --certificates` stdout equals the
+    standard library's sorted, indent-2 encoding of its own parse, the
+    echoed inputs.document included."""
+    import random
+
+    if docname == "cyclic_c22":
+        raw = canonical_json(_benchmark_workloads().cyclic_document(22, random.Random(0)))
+    else:
+        raw = resources.files("gerbes.data").joinpath(f"{docname}_document.json").read_text()
+    path = tmp_path / "doc.json"
+    path.write_text(raw)
+    printed = 0
+    for command in DOCUMENT_COMMANDS:
+        rc = run([*command, str(path), "--output", "json", "--certificates"])
+        out = capsys.readouterr().out
+        if rc == 2:  # refused before any output
+            assert out == ""
+            continue
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", command
+        printed += 1
+    assert printed >= 8

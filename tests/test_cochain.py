@@ -678,3 +678,23 @@ def test_membership_on_empty_cochain_spaces():
             assert rel.tolist() == [[1]]
     point = trivial_module(cyclic_group(1), (2,))
     assert cocycle_annihilator(point, 0, [1]) is None
+
+
+def test_consistency_rows_equal_the_dense_product():
+    """A = rows @ lift mod e, summed over the nonzero entries of rows, is the
+    dense product on the oracle family in degrees 0-2 and on S4 with
+    Z/2 x Z/4, whose degree-2 rows are 2254 x 1058."""
+    from gerbes.cochain import _tree_coordinates
+    from gerbes.fixtures import oracle_groups, oracle_modules
+
+    cases = [
+        (module, deg)
+        for _, group in oracle_groups()
+        for _, module in oracle_modules(group)
+        for deg in (0, 1, 2)
+    ]
+    cases.append((trivial_module(symmetric_group(4), (2, 4)), 2))
+    for module, deg in cases:
+        tc = _tree_coordinates(module, deg)
+        assert tc.consistency.dtype == np.int64
+        assert np.array_equal(tc.consistency, tc.rows @ tc.lift % tc.e), (module, deg)

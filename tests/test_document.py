@@ -1,7 +1,11 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbes.cochain import cohomology
 from gerbes.document import (
@@ -101,3 +105,159 @@ def test_canonical_json_is_sorted_and_stable():
     b = canonical_json({"a": [2, 1], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+_ints = st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-324]),
+    st.text(),
+    st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2603\U0001f600", "\ud800", '"\\/\b\f\n\r\t']),
+    _ints.map(_Int),
+    st.floats(allow_nan=True, allow_infinity=True).map(_Float),
+)
+# Each dict draws its keys from one of these, so its keys stay comparable.
+_key_kinds = (
+    st.text(),
+    _ints,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.booleans()),
+)
+_int_rows = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(_ints, min_size=k, max_size=k), min_size=1, max_size=6)
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=5).map(_List),
+        *(st.dictionaries(keys, children, max_size=5) for keys in _key_kinds),
+        st.dictionaries(st.none(), children, max_size=1),
+        st.dictionaries(st.text(), children, max_size=5).map(_Dict),
+        st.lists(st.one_of(_ints, st.booleans()), max_size=6),
+        st.lists(_ints, max_size=6).map(tuple),
+        _int_rows,
+        _int_rows.map(lambda rows: [tuple(r) for r in rows]),
+        st.lists(st.lists(_ints, max_size=4), min_size=1, max_size=6),
+        st.lists(st.lists(st.one_of(_ints, st.booleans()), min_size=2, max_size=2), min_size=1, max_size=4),
+    )
+
+
+def _stdlib(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _assert_same_as_stdlib(obj):
+    try:
+        want = _stdlib(obj)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            canonical_json(obj)
+        assert str(info.value) == str(exc)
+        return
+    assert canonical_json(obj) == want
+
+
+@given(st.recursive(_scalars, _containers, max_leaves=40))
+@settings(derandomize=True, deadline=None, max_examples=600)
+def test_canonical_json_is_the_stdlib_encoding(obj):
+    """Byte for byte json.dumps(obj, sort_keys=True, indent=2) + newline, or
+    the same exception when the standard encoder refuses the tree."""
+    _assert_same_as_stdlib(obj)
+
+
+def test_canonical_json_on_fixed_trees():
+    for obj in (
+        [],
+        {},
+        [[]],
+        [[], []],
+        [{}],
+        [[1], [2, 3]],
+        [[1, 2], [3, 4]],
+        [[7]] * 3,
+        [[True], [1]],
+        [1, True, None],
+        {"a": [[1, 2], [3, 4]], "b": {"c": (5, 6)}},
+        {2: "x", 1.5: "y", True: "z"},
+        {None: [float("nan")]},
+        _List([1, 2]),
+        _Dict(b=1, a=2),
+        [_Int(3), _Int(-4)],
+        {_Float(0.5): _Float(-0.0)},
+        {"x": [[-(2**70), 2**70]]},
+        "caf\u00e9",
+        3,
+        None,
+        _nested(300),
+    ):
+        _assert_same_as_stdlib(obj)
+
+
+def _nested(depth):
+    tree = {"leaf": [[1]]}
+    for i in range(depth):
+        tree = [tree] if i % 2 else {"k": tree}
+    return tree
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        np.int64(3),
+        [1, np.int64(2)],
+        {"a": Fraction(1, 3)},
+        [[1, 2], {1, 2}],
+        {(1, 2): 1},
+        {"a": 1, 2: 3},
+        [10 ** 5000],
+        object(),
+    ],
+    ids=["int64", "int64-in-list", "fraction", "set", "tuple-key", "mixed-keys", "huge-int", "object"],
+)
+def test_canonical_json_refuses_what_the_stdlib_refuses(obj):
+    with pytest.raises((TypeError, ValueError)) as want:
+        _stdlib(obj)
+    with pytest.raises(want.type) as got:
+        canonical_json(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_canonical_json_on_a_circular_tree():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json({"a": loop})
+
+
+def test_integers_fast_path_keeps_the_messages():
+    from gerbes.document import _integers
+
+    assert _integers([3, -1, 2**70], "f") == [3, -1, 2**70]
+    for bad, shown in (([1, True], "True"), ([1, 2.0], "2.0"), ([1, "2"], "'2'"), ("12", "'1'")):
+        with pytest.raises(InputError, match=f"f must be an integer, got {shown}"):
+            _integers(bad, "f")

@@ -2,6 +2,7 @@ import pytest
 
 from gerbes.errors import (
     ClosureExceedsBound,
+    InputError,
     InvalidHomomorphism,
     InvalidSubgroup,
     NoIdentity,
@@ -76,6 +77,41 @@ def test_table_validation_errors():
     # Identity and inverses hold but associativity fails.
     with pytest.raises((NonAssociative, NoInverse)):
         FiniteGroup(LOOP5)
+
+
+def _swapped_z128():
+    """Z/128 with the intercalate at rows 5, 69 and columns 20, 84 swapped."""
+    table = [[(a + b) % 128 for b in range(128)] for a in range(128)]
+    table[5][20], table[5][84] = table[5][84], table[5][20]
+    table[69][20], table[69][84] = table[69][84], table[69][20]
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        ([[0, 1, 2], [1, 2, 0], [2, 0]], InputError, "row 2 has length 2, expected 3"),
+        ([[0, 1, 2], [1, 2, -1], [2, 0, 3]], InputError, "table entry -1 out of range [0, 3)"),
+        ([[0, 7], [1]], InputError, "table entry 7 out of range [0, 2)"),
+        ([[0, 1], [1, 2**64]], InputError, "table entry 18446744073709551616 out of range [0, 2)"),
+        ([[1, 0], [0, 1]], NoIdentity, "index 0 is not a two-sided identity at element 0"),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], NoIdentity, "index 0 is not a two-sided identity at element 2"),
+        (LOOP5, NonAssociative, "(1*1)*2 != 1*(1*2)"),
+        (_swapped_z128(), NonAssociative, "(4*1)*20 != 4*(1*20)"),
+        ([[0, 1, 2], [1, 2, 2], [2, 2, 2]], NoInverse, "element 1 has no two-sided inverse"),
+    ],
+    ids=[
+        "row-length", "out-of-range", "range-before-length", "past-int64", "no-identity-row",
+        "no-identity-column", "non-associative", "non-associative-128", "no-inverse",
+    ],
+)
+def test_table_validation_messages(table, error, message):
+    """The first failure in the order of the element-by-element checks:
+    rows, then entries in row order; the identity; Light's test by
+    generator s, then a, then c; inverses."""
+    with pytest.raises(error) as info:
+        FiniteGroup(table)
+    assert str(info.value) == message
 
 
 def test_spanning_tree_greedy_generators_reach_everything():
