@@ -10,10 +10,14 @@ inhomogeneous bar formula
                             + sum_i (-1)^i c(..., g_i g_{i+1}, ...)
                             + (-1)^{n+1} c(g_1,...,g_n)
 
-evaluated exactly.  Cohomology is computed by integer SNF on the kernel
-lattice {x : d_n x == 0 mod carrier factors} against the image lattice of
-d_{n-1} plus the carrier relations; canonical representatives come from the
-deterministic pivot order, so identical inputs give identical certificates.
+evaluated exactly, by one function, ``_apply_d``: d_n applied to a batch
+of cochains at a named, sorted set of output slots (``_slot_set``).  The
+differential, ``is_cocycle``, every d-matrix (d on the identity) and every
+consistency row are calls of it.  Cohomology is computed by integer SNF on
+the kernel lattice {x : d_n x == 0 mod carrier factors} against the image
+lattice of d_{n-1} plus the carrier relations; canonical representatives
+come from the deterministic pivot order, so identical inputs give identical
+certificates.
 That Smith data is read once, at construction, into the group's class
 matrix ``classes``: an int64 matrix over Z/e, e the carrier exponent, whose
 row i sends every cocycle z to (e/d_i) reduce(z)_i mod e.  It is integral
@@ -183,25 +187,25 @@ def _reduced(values: Sequence[Sequence[int]] | np.ndarray, factors: tuple[int, .
 
 @dataclass(frozen=True)
 class _DiffPlan:
-    """Precomputed index arrays for the rows of one differential degree.
+    """Index arrays of d_degree at one sorted set of output slots.
 
-    The output slots come in one block of ``in_slots`` per first argument
-    in ``firsts``: every element but the identity, or only the generators.
+    Output slot (g_1, ..., g_{n+1}) reads its first term g_1.c(g_2, ...)
+    at input slot ``slot % q^n``; ``middle`` and ``last_idx`` hold the
+    input slot of every other term, q^n (a zero row) where the product
+    g_i g_{i+1} is the identity.
     """
 
     degree: int
-    firsts: tuple[int, ...]
-    out_slots: int
-    in_slots: int
+    slots: np.ndarray
     middle: tuple[tuple[int, np.ndarray], ...]  # (sign, input index per output slot)
     last_sign: int
     last_idx: np.ndarray
 
 
-def _digits(count: int, positions: int, q: int) -> np.ndarray:
-    """Digit array (count x positions) of tuple ranks, digits in 1..q."""
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, positions), dtype=np.int64)
+def _digits(ranks: np.ndarray, positions: int, q: int) -> np.ndarray:
+    """Digit array (len(ranks) x positions) of tuple ranks, digits in 1..q."""
+    idx = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(idx), positions), dtype=np.int64)
     for p in range(positions - 1, -1, -1):
         out[:, p] = idx % q + 1
         idx //= q
@@ -215,85 +219,108 @@ def _rank_of_digits(dig: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _diff_plan(module: GModule, degree: int, generators_only: bool) -> _DiffPlan:
+def _slot_set(module: GModule, degree: int, rows: str) -> np.ndarray:
+    """The sorted output slots of d_degree that ``rows`` names.
+
+    "all" is every slot; "generators" the slots of ``_generator_slots``;
+    "off_tree" the consistency slots of ``_tree_coordinates``: the slots
+    (..., x, s), x != 1 and s a generator, where (x, s) is not a tree step,
+    or the generator slots in degree 0.
+    """
+    q = module.group.order - 1
+    if rows == "all":
+        return np.arange(q ** (degree + 1), dtype=np.int64)
+    if rows == "generators" or degree == 0:
+        return _generator_slots(module, degree)
+    gens, steps = module.group.tree
+    tree = {(x, gens[i]) for _, x, i in steps}
+    off = [(x - 1) * q + s - 1 for x in range(1, q + 1) for s in gens if (x, s) not in tree]
+    return (np.arange(q ** (degree - 1))[:, None] * q * q + np.asarray(off, dtype=np.int64)).ravel()
+
+
+def _diff_plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
     q = module.group.order - 1
     n = degree
-    firsts = tuple(module.group.tree[0]) if generators_only else tuple(range(1, q + 1))
-    in_slots = q**n
-    out_slots = len(firsts) * in_slots
-    if out_slots > _PLAN_SLOT_BOUND:
-        raise SizeBound(f"differential target has {out_slots} slots; raise the bound or shrink the group")
+    slots = _slot_set(module, n, rows)
+    if len(slots) > _PLAN_SLOT_BOUND:
+        raise SizeBound(
+            f"d_{n} over a group of order {q + 1} has {len(slots)} {rows} output slots, "
+            f"past the plan bound of {_PLAN_SLOT_BOUND} slots"
+        )
     mt = np.asarray(module.group.table, dtype=np.int64)
-    dig = _digits(out_slots, n + 1, q)
-    dig[:, 0] = np.asarray(firsts, dtype=np.int64)[dig[:, 0] - 1]
+    dig = _digits(slots, n + 1, q)
     middle = []
-    sentinel = in_slots  # extra zero row in the padded value array
+    sentinel = q**n  # the extra zero row of the padded input
     for i in range(1, n + 1):
         merged = mt[dig[:, i - 1], dig[:, i]]
         cols = [dig[:, j] for j in range(i - 1)] + [merged] + [dig[:, j] for j in range(i + 1, n + 1)]
-        stack = np.stack(cols, axis=1) if cols else np.zeros((out_slots, 0), dtype=np.int64)
         killed = merged == 0
-        safe = stack.copy()
+        safe = np.stack(cols, axis=1)
         safe[killed] = 1
         idx = _rank_of_digits(safe, q)
         idx[killed] = sentinel
         middle.append(((-1) ** i, idx))
-    last_idx = (
-        _rank_of_digits(dig[:, :n], q) if n else np.zeros(out_slots, dtype=np.int64)
-    )
-    return _DiffPlan(n, firsts, out_slots, in_slots, tuple(middle), (-1) ** (n + 1), last_idx)
+    return _DiffPlan(n, slots, tuple(middle), (-1) ** (n + 1), _rank_of_digits(dig[:, :n], q))
 
 
-def _plan(module: GModule, degree: int, generators_only: bool = False) -> _DiffPlan:
-    return memo(module, (degree, generators_only), _diff_plan, module, degree, generators_only)
+def _plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
+    return memo(module, (degree, rows), _diff_plan, module, degree, rows)
 
 
-def _differential_array(c: Cochain, generators_only: bool = False) -> np.ndarray:
-    """Raw value table of dc (degree + 1), before wrapping in a Cochain.
+def _action(module: GModule) -> np.ndarray:
+    """The action matrices as one (|G|, rank, rank) int64 array."""
+    return np.asarray(module.action, dtype=np.int64).reshape(module.group.order, module.rank, module.rank)
 
-    With ``generators_only``, only the rows of ``_generator_slots``.
+
+def _apply_d(module: GModule, degree: int, rows: str, x: np.ndarray) -> np.ndarray:
+    """d_degree applied exactly, without reduction, to a batch of cochains.
+
+    ``x`` is a (q^degree, rank, batch) int64 array, one cochain per index
+    of its last axis.  Returns the (slots, rank, batch) values of the bar
+    formula at the output slots ``rows`` (``_slot_set``), in their order.
+    With entries of ``x`` in [0, e), each sum is below k e^2 + 4e, inside
+    int64 by GModule's bound k e^2 < 2^62.
     """
-    module = c.module
-    n = c.degree
-    k = module.rank
-    plan = _plan(module, n, generators_only)
-    if not plan.out_slots or k == 0:
-        return np.zeros((plan.out_slots, k), dtype=np.int64)
-    vals = c.array
-    padded = np.vstack([vals, np.zeros((1, k), dtype=np.int64)])
-    out = np.zeros((plan.out_slots, k), dtype=np.int64)
-    block = plan.in_slots
-    for b, g in enumerate(plan.firsts):
-        p = np.asarray(module.matrix(g), dtype=np.int64)
-        out[b * block : (b + 1) * block] += vals @ p.T
-    for sign, idx in plan.middle:
-        out += sign * padded[idx]
-    out += plan.last_sign * padded[plan.last_idx]
-    factors = np.asarray(module.carrier.factors, dtype=np.int64)
-    return np.mod(out, factors)
+    plan = _plan(module, degree, rows)
+    acting = memo(module, None, _action, module)
+    first, rest = np.divmod(plan.slots, len(x))
+    out = np.einsum("sij,sjb->sib", acting[1:][first], x[rest])
+    padded = np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=np.int64)])
+    for sign, idx in (*plan.middle, (plan.last_sign, plan.last_idx)):
+        if sign > 0:
+            out += padded[idx]
+        else:
+            out -= padded[idx]
+    return out
+
+
+def _d_values(c: Cochain, rows: str) -> np.ndarray:
+    """The (slots, rank) values of dc at the output slots ``rows``, reduced mod the carrier factors."""
+    raw = _apply_d(c.module, c.degree, rows, c.array[:, :, None])[:, :, 0]
+    return raw % np.asarray(c.module.carrier.factors, dtype=np.int64)
 
 
 def differential(c: Cochain) -> Cochain:
     """The bar differential, for input degrees 0..2."""
     if c.degree >= MAX_DEGREE:
         raise DegreeTooHigh("differential of a degree-3 cochain leaves the supported range")
-    return Cochain(c.module, c.degree + 1, _differential_array(c))
+    return Cochain(c.module, c.degree + 1, _apply_d(c.module, c.degree, "all", c.array[:, :, None])[:, :, 0])
 
 
 def is_cocycle(c: Cochain) -> bool:
     """d c == 0, for degrees 0..3.
 
     Only the rows of dc whose first argument is a generator are evaluated,
-    from a plan of q^n |S| slots instead of q^(n+1); by the lemma of
-    ``_generator_slots`` they vanish exactly when dc does.
+    q^n |S| slots instead of q^(n+1); by the lemma of ``_generator_slots``
+    they vanish exactly when dc does.
     """
-    return not _differential_array(c, generators_only=True).any()
+    return not _d_values(c, "generators").any()
 
 
 def _restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
     group, embed = sub.as_group()
     q = group.order - 1
-    local = _digits(q**degree, degree, q)
+    local = _digits(np.arange(q**degree), degree, q)
     return _rank_of_digits(np.asarray(embed, dtype=np.int64)[local], sub.parent.order - 1)
 
 
@@ -375,38 +402,29 @@ def _generator_slots(module: GModule, degree: int) -> np.ndarray:
     return ((gens[:, None] - 1) * block + np.arange(block)).ravel()
 
 
-def _differential_matrix(module: GModule, degree: int, slots: np.ndarray | None = None) -> np.ndarray:
-    """Integer matrix of d_degree on flattened coordinates (int64).
+def _differential_matrix(module: GModule, degree: int, rows: str = "all") -> np.ndarray:
+    """Integer matrix of d_degree at the output slots ``rows``, unreduced int64.
 
-    Only the rows of the output ``slots`` are built, all of them by default.
-    Raises SizeBound, before allocating, when the matrix would pass
-    ``_MATRIX_BYTE_BOUND`` bytes.
+    It is ``_apply_d`` on the identity.  Raises SizeBound, before any plan
+    is built, when the matrix would pass ``_MATRIX_BYTE_BOUND`` bytes.
     """
     q = module.group.order - 1
     k = module.rank
-    out_slot = np.arange(q ** (degree + 1)) if slots is None else slots
     in_dim = (q**degree) * k
-    out_dim = len(out_slot) * k
+    out_dim = len(_slot_set(module, degree, rows)) * k
     if out_dim * in_dim * 8 > _MATRIX_BYTE_BOUND:
         raise SizeBound(
             f"d_{degree} over a group of order {q + 1} is a {out_dim} x {in_dim} int64 matrix "
             f"of {out_dim * in_dim * 8} bytes, past the bound of {_MATRIX_BYTE_BOUND} bytes"
         )
-    mat = np.zeros((out_dim, in_dim), dtype=np.int64)
-    if in_dim == 0 or out_dim == 0:
-        return mat
-    plan = _plan(module, degree)
-    # Every plan term sends an output slot to at most one input slot, so
-    # each fancy-indexed add below touches every entry at most once.
-    comp = np.arange(k)
-    rows = np.arange(len(out_slot))[:, None] * k + comp
-    acting = np.asarray([module.matrix(g) for g in range(q + 1)], dtype=np.int64)
-    in_cols = (out_slot % plan.in_slots)[:, None] * k + comp
-    mat[rows[:, :, None], in_cols[:, None, :]] += acting[out_slot // plan.in_slots + 1]
-    for sign, idx in (*plan.middle, (plan.last_sign, plan.last_idx)):
-        idx = idx[out_slot]
-        live = idx != plan.in_slots
-        mat[rows[live], idx[live, None] * k + comp] += sign
+    mat = np.empty((out_dim, in_dim), dtype=np.int64)
+    # The evaluator holds a few arrays the size of its output, so the
+    # identity goes in blocks of columns of about 2^20 output entries each.
+    step = max(1, (1 << 20) // max(out_dim, 1))
+    for j in range(0, in_dim, step):
+        width = min(step, in_dim - j)
+        block = np.eye(in_dim, width, -j, dtype=np.int64).reshape(q**degree, k, width)
+        mat[:, j : j + width] = _apply_d(module, degree, rows, block).reshape(out_dim, width)
     return mat
 
 
@@ -415,11 +433,16 @@ def _modulus(module: GModule) -> int:
     return max(module.carrier.exponent, 2)
 
 
-def _scaled_rows(module: GModule, degree: int, slots: np.ndarray) -> np.ndarray:
-    """The rows of d_degree at the output ``slots`` over Z/e, row i scaled by e / d_i."""
-    e = _modulus(module)
-    scale = np.tile(e // np.asarray(module.carrier.factors, dtype=np.int64), len(slots))
-    return (_differential_matrix(module, degree, slots) * scale[:, None]) % e
+def _scaled(module: GModule, raw: np.ndarray) -> np.ndarray:
+    """Raw values (slots, rank, batch) of d, in place, on the scaled coordinates over Z/e.
+
+    Entry i is reduced mod d_i before it is multiplied by e / d_i, which
+    keeps every product below e.
+    """
+    d = np.asarray(module.carrier.factors, dtype=np.int64)[:, None]
+    raw %= d
+    raw *= _modulus(module) // d
+    return raw
 
 
 def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -430,7 +453,9 @@ def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.n
     0 mod e.
     """
     slots = _generator_slots(module, degree)
-    return _scaled_rows(module, degree, slots), slots, _modulus(module)
+    mat = _differential_matrix(module, degree, "generators")
+    scaled = _scaled(module, mat.reshape(len(slots), module.rank, mat.shape[1]))
+    return scaled.reshape(mat.shape), slots, _modulus(module)
 
 
 def _product_mod(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
@@ -454,7 +479,7 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
         c(g, x s) = y(g, x, s) + c(g, x) + c(g x, s) - g.c(x, s)   (degree 2)
         c(x s) = x.c(s) + c(x) - y(x, s)                             (degree 1)
 
-    and c = v in degree 0.  Returns the (q^degree rank, columns) array.
+    and c = v in degree 0.  Returns the (q^degree, rank, columns) array.
     Every step is reduced mod e, so each entry before the reduction is
     below k e^2 + 3e, inside int64 by GModule's bound k e^2 < 2^62.
     """
@@ -463,8 +488,8 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
     gens, steps = group.tree
     batch = v.shape[-1]
     if degree == 0:
-        return v.reshape(k, batch) % e
-    acting = np.asarray([module.matrix(g) for g in range(q + 1)], dtype=np.int64)
+        return v.reshape(1, k, batch) % e
+    acting = memo(module, None, _action, module)
     # Indexed by group elements: the identity's entries stay 0, as in a
     # normalized cochain.
     c = np.zeros((q + 1,) * degree + (k, batch), dtype=np.int64)
@@ -475,7 +500,7 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
             s = gens[i]
             step = acting[x] @ c[s] + c[x]
             c[target] = (step if ys is None else step - ys[x - 1, s - 1]) % e
-        return c[1:].reshape(q * k, batch)
+        return c[1:]
     c[1:, gens] = v.reshape(q, len(gens), k, batch)
     table = np.asarray(group.table, dtype=np.int64)
     ys = None if y is None else y.reshape(q, q, q, k, 1)
@@ -483,22 +508,20 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
         s = gens[i]
         step = c[1:, x] + c[table[1:, x], s] - acting[1:] @ c[x, s]
         c[1:, target] = (step if ys is None else step + ys[:, x - 1, s - 1]) % e
-    return c[1:, 1:].reshape(q * q * k, batch)
+    return c[1:, 1:].reshape(q * q, k, batch)
 
 
 @dataclass(frozen=True)
 class _TreeCoordinates:
     """The generator coordinates of degree-n cochains, over Z/e.
 
-    ``lift`` is R, the matrix of ``_lift`` with y = 0; ``rows`` are the
-    scaled rows of d_n at ``row_slots``, the slots off the tree; and
-    ``consistency`` is A = rows @ R.
+    ``lift`` is R, the (q^n rank, width) matrix of ``_lift`` with y = 0,
+    and ``consistency`` is A, d_n applied to R at the slots off the tree,
+    on the scaled coordinates (``_scaled``).
     """
 
     e: int
     lift: np.ndarray
-    row_slots: np.ndarray
-    rows: np.ndarray
     consistency: np.ndarray
 
 
@@ -509,7 +532,8 @@ def _tree_coordinates(module: GModule, degree: int) -> _TreeCoordinates:
     argument is a generator s of ``FiniteGroup.tree``: (g, s) in degree 2,
     s in degree 1, c itself in degree 0.  The consistency rows are the
     scaled rows of d_n at the slots (..., x, s), x != 1, where (x, s) is
-    not a tree step; in degree 0 they are the generator rows and R = I.
+    not a tree step (``_slot_set``'s "off_tree"); in degree 0 they are the
+    generator rows and R = I.
 
     Lemma: for a cocycle y of degree n + 1, the solutions of dc = y are
     exactly the c = lift(v, y) (``_lift``) with A v == rhs (mod e), rhs
@@ -524,37 +548,14 @@ def _tree_coordinates(module: GModule, degree: int) -> _TreeCoordinates:
     is the lemma of ``_generator_slots``.  With y = 0 the cocycles are
     lift(ker A, 0), modulo the carrier factors.
     """
-    group = module.group
-    q, k = group.order - 1, module.rank
-    gens, steps = group.tree
-    if degree == 0:
-        row_slots = _generator_slots(module, 0)
-    else:
-        tree = {(x, gens[i]) for _, x, i in steps}
-        off = [(x - 1) * q + s - 1 for x in range(1, q + 1) for s in gens if (x, s) not in tree]
-        row_slots = (np.arange(q ** (degree - 1))[:, None] * q * q + np.asarray(off, dtype=np.int64)).ravel()
-    count = q ** (degree - 1) * len(gens) if degree else 1
+    q, k = module.group.order - 1, module.rank
+    count = q ** (degree - 1) * len(module.group.tree[0]) if degree else 1
     width = count * k
     lift = _lift(module, degree, np.identity(width, dtype=np.int64).reshape(count, k, width))
-    rows = _scaled_rows(module, degree, row_slots)
-    e = _modulus(module)
-    return _TreeCoordinates(e, lift, row_slots, rows, _sparse_product_mod(rows, lift, e))
-
-
-def _sparse_product_mod(rows: np.ndarray, lift: np.ndarray, e: int) -> np.ndarray:
-    """rows @ lift mod e, summed over the nonzero entries of each row of ``rows``.
-
-    A row of d_n has at most k + n + 1 entries, each reduced into [0, e),
-    so every sum is below (k + 4) e^2 < 2^63, by GModule's k e^2 < 2^62
-    and e < 2^30.  Numpy has no BLAS path for int64, and the dense product
-    spends nearly all its time on zeros.
-    """
-    r, c = np.nonzero(rows)
-    out = np.zeros((rows.shape[0], lift.shape[1]), dtype=np.int64)
-    if len(r):
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        out[r[starts]] = np.add.reduceat(rows[r, c][:, None] * lift[c], starts, axis=0) % e
-    return out
+    consistency = _scaled(module, _apply_d(module, degree, "off_tree", lift))
+    return _TreeCoordinates(
+        _modulus(module), lift.reshape(q**degree * k, width), consistency.reshape(len(consistency) * k, width)
+    )
 
 
 def _coordinates(module: GModule, degree: int) -> _TreeCoordinates:
@@ -742,19 +743,20 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
         return CoboundaryResult(Cochain.zero(module, n - 1), None)
     tc = _coordinates(module, n - 1)
     e = tc.e
-    scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
-    base = _lift(module, n - 1, np.zeros((tc.lift.shape[1] // k, k, 1), dtype=np.int64), y.array)[:, 0]
-    # rows @ base is below (k + 4) e^2, as in ``_sparse_product_mod``.
-    rhs = ((y.array[tc.row_slots] * scale).ravel() - tc.rows @ base) % e
+    base = _lift(module, n - 1, np.zeros((tc.lift.shape[1] // k, k, 1), dtype=np.int64), y.array)
+    off_tree = _plan(module, n - 1, "off_tree").slots
+    rhs = _scaled(module, y.array[off_tree, :, None] - _apply_d(module, n - 1, "off_tree", base)).ravel()
     v, _ = solve_mod(tc.consistency, rhs, e)
     if v is None:
         return _obstruction(y)
-    x = (base + _product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
+    x = (base.ravel() + _product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
     for row in memo(module, n - 1, _cocycle_rows, module, n - 1):
         p = int(np.flatnonzero(row)[0])
         x = (x - x[p] // row[p] * row) % e
     c = Cochain(module, n - 1, x[::-1].reshape(-1, k))
-    if differential(c) != y:
+    # dc - y is a cocycle, so by the lemma of ``_generator_slots`` its
+    # generator rows decide whether it vanishes.
+    if not np.array_equal(_d_values(c, "generators"), y.array[_generator_slots(module, n - 1)]):
         raise GerbesError("coboundary solver produced an invalid primitive")
     return CoboundaryResult(c, None)
 

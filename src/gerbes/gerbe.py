@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -309,11 +309,12 @@ def _crossed_homomorphisms(
     ``FiniteGroup.tree``.  Results come in ``itertools.product`` order.
     """
     gens, steps = dgroup.tree
-    count = 1
-    for c in candidates:
-        count *= len(c)
-        if count > SPLITTING_SEARCH_BOUND:
-            raise SizeBound("crossed homomorphism search space exceeds the configured bound")
+    count = prod(len(c) for c in candidates)
+    if count > SPLITTING_SEARCH_BOUND:
+        raise SizeBound(
+            f"crossed homomorphism search space has {count} candidates, "
+            f"past SPLITTING_SEARCH_BOUND = {SPLITTING_SEARCH_BOUND}"
+        )
     found = []
     for combo in itertools.product(*candidates):
         f = [identity] * dgroup.order

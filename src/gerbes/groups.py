@@ -99,7 +99,6 @@ class FiniteGroup:
     def __init__(
         self,
         table: Sequence[Sequence[int]],
-        labels: Sequence[str] | None = None,
         name: str | None = None,
     ) -> None:
         n = len(table)
@@ -112,9 +111,6 @@ class FiniteGroup:
         self.order = n
         self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, arr.tolist()))
         self.name = name
-        if labels is not None and len(labels) != n:
-            raise InputError("labels length does not match group order")
-        self.labels = tuple(labels) if labels is not None else None
         self.inv: tuple[int, ...] = self._validate(arr.astype(np.min_scalar_type(n)))
         self._memo: dict = {}
 
@@ -187,9 +183,6 @@ class FiniteGroup:
             for a in range(self.order)
         )
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
     def __repr__(self) -> str:
         tag = self.name or f"order {self.order}"
         return f"FiniteGroup({tag})"
@@ -198,7 +191,7 @@ class FiniteGroup:
 def build_group(spec: dict, max_order: int = DEFAULT_CLOSURE_BOUND, name: str | None = None) -> FiniteGroup:
     """Build a group from a {"table": ...} or {"permutations": ...} description."""
     if "table" in spec:
-        return FiniteGroup(spec["table"], labels=spec.get("labels"), name=name)
+        return FiniteGroup(spec["table"], name=name)
     if "permutations" in spec:
         return from_permutations(spec["permutations"], max_order=max_order, name=name)
     raise InputError("group description needs a 'table' or 'permutations' key")
@@ -245,26 +238,7 @@ def from_permutations(
         [index[tuple(p[q[i]] for i in range(degree))] for q in elements]
         for p in elements
     ]
-    labels = [_cycle_label(p) for p in elements]
-    return FiniteGroup(table, labels=labels, name=name)
-
-
-def _cycle_label(perm: tuple[int, ...]) -> str:
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = perm[x]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+    return FiniteGroup(table, name=name)
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -345,8 +319,7 @@ def quaternion_group() -> FiniteGroup:
         )
 
     table = [[index[qmul(p, q)] for q in units] for p in units]
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup(table, labels=labels, name="Q8")
+    return FiniteGroup(table, name="Q8")
 
 
 def sl2_f5() -> FiniteGroup:
@@ -444,8 +417,7 @@ class Subgroup:
 def _subgroup_as_group(parent: FiniteGroup, embed: tuple[int, ...]) -> tuple[FiniteGroup, tuple[int, ...]]:
     pos = {e: i for i, e in enumerate(embed)}
     table = [[pos[parent.table[a][b]] for b in embed] for a in embed]
-    labels = [parent.label(e) for e in embed]
-    return FiniteGroup(table, labels=labels, name=f"{parent.name or 'G'}|{embed}"), embed
+    return FiniteGroup(table, name=f"{parent.name or 'G'}|{embed}"), embed
 
 
 def cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
@@ -524,7 +496,6 @@ class Abelianization:
     target: FinAb
     coords: tuple[tuple[int, ...], ...]
     generator_preimages: tuple[int, ...]
-    commutator: Subgroup
 
 
 def abelian_table_group(fab: FinAb, name: str | None = None) -> FiniteGroup:
@@ -532,8 +503,7 @@ def abelian_table_group(fab: FinAb, name: str | None = None) -> FiniteGroup:
     elems = list(fab.elements())
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[fab.add(a, b)] for b in elems] for a in elems]
-    labels = ["+".join(map(str, e)) if e else "0" for e in elems]
-    return FiniteGroup(table, labels=labels, name=name or f"Ab{list(fab.factors)}")
+    return FiniteGroup(table, name=name or f"Ab{list(fab.factors)}")
 
 
 def quotient_group(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -552,8 +522,7 @@ def quotient_group(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, t
     reps = sorted(set(rep))
     rep_index = {r: i for i, r in enumerate(reps)}
     table = [[rep_index[rep[group.table[a][b]]] for b in reps] for a in reps]
-    labels = [group.label(r) for r in reps]
-    quot = FiniteGroup(table, labels=labels, name=f"{group.name or 'G'}/N{len(nset)}")
+    quot = FiniteGroup(table, name=f"{group.name or 'G'}/N{len(nset)}")
     proj = tuple(rep_index[rep[a]] for a in range(group.order))
     return quot, proj
 
@@ -569,4 +538,4 @@ def abelianization(group: FiniteGroup) -> Abelianization:
     pre = []
     for gen_q in decomp.generators:
         pre.append(proj.index(gen_q))
-    return Abelianization(group, decomp.group, coords, tuple(pre), comm)
+    return Abelianization(group, decomp.group, coords, tuple(pre))

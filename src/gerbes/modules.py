@@ -14,7 +14,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 # The int64 arithmetic of ``cochain`` and ``linalg`` works on entries
 # reduced below the exponent e: ``linalg.howell_reduce_rows`` forms
-# s*p + t*r, exact for e < 2**30, and ``cochain._differential_array`` sums
+# s*p + t*r, exact for e < 2**30, and ``cochain._apply_d`` sums
 # rank products of two reduced entries plus at most five terms below e,
 # exact for rank * e**2 < 2**62.  Every carrier of order <= 65536 passes.
 EXPONENT_BOUND = 1 << 30

@@ -107,7 +107,9 @@ def enumerated_cohomology(group: FiniteGroup, factors: tuple[int, ...], degree: 
     slots = q**degree
     count = (e**k) ** slots
     if count > ENUMERATION_BOUND:
-        raise SizeBound(f"enumeration space {count} exceeds the oracle bound")
+        raise SizeBound(
+            f"enumeration space {count} exceeds the oracle bound ENUMERATION_BOUND = {ENUMERATION_BOUND}"
+        )
     up = _bar_matrix(group, e, k, degree, normalized=True)
     down = _bar_matrix(group, e, k, degree - 1, normalized=True)
     assignments = _all_vectors(e, slots * k)

@@ -332,6 +332,16 @@ def test_internal_errors_exit_4(witness_path, monkeypatch, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+
+def test_splitting_search_bound_names_its_count(witness_path, monkeypatch, capsys):
+    """The crossed-homomorphism search is refused before it enumerates,
+    with its candidate count and the bound in the message."""
+    import gerbes.gerbe
+
+    monkeypatch.setattr(gerbes.gerbe, "SPLITTING_SEARCH_BOUND", 3)
+    assert run(["gerbe", "local-sections", witness_path]) == 2
+    assert "has 4 candidates, past SPLITTING_SEARCH_BOUND = 3" in capsys.readouterr().err
+
 SHIPPED = {
     name: json.loads(resources.files("gerbes.data").joinpath(f"{name}_document.json").read_text())
     for name in ("witness", "q8")

@@ -655,7 +655,7 @@ def test_generator_row_cocycle_check_agrees_with_d3():
             cochains += [dc, dc + Cochain(module, 3, bump)]
         verdicts = [is_cocycle(c) for c in cochains]
         plans = [p for p in module._memo.values() if isinstance(p, _DiffPlan) and p.degree == 3]
-        assert plans and all(p.out_slots < q**4 for p in plans)
+        assert plans and all(len(p.slots) < q**4 for p in plans)
         full = _differential_matrix(module, 3)
         moduli = np.tile(np.asarray(module.carrier.factors, dtype=np.int64), q**4)
         want = [not (full @ c.array.ravel() % moduli).any() for c in cochains]
@@ -681,10 +681,11 @@ def test_membership_on_empty_cochain_spaces():
 
 
 def test_consistency_rows_equal_the_dense_product():
-    """A = rows @ lift mod e, summed over the nonzero entries of rows, is the
-    dense product on the oracle family in degrees 0-2 and on S4 with
-    Z/2 x Z/4, whose degree-2 rows are 2254 x 1058."""
-    from gerbes.cochain import _tree_coordinates
+    """A, d_n applied to the lift at the slots off the tree, is the dense
+    product rows @ lift mod e with the scaled off-tree rows of d_n, on the
+    oracle family in degrees 0-2 and on S4 with Z/2 x Z/4, whose degree-2
+    rows are 2254 x 1058."""
+    from gerbes.cochain import _differential_matrix, _tree_coordinates
     from gerbes.fixtures import oracle_groups, oracle_modules
 
     cases = [
@@ -696,5 +697,76 @@ def test_consistency_rows_equal_the_dense_product():
     cases.append((trivial_module(symmetric_group(4), (2, 4)), 2))
     for module, deg in cases:
         tc = _tree_coordinates(module, deg)
+        factors = np.asarray(module.carrier.factors, dtype=np.int64)
+        full = _differential_matrix(module, deg, "off_tree")
+        rows = full * np.tile(tc.e // factors, len(full) // module.rank)[:, None] % tc.e
         assert tc.consistency.dtype == np.int64
-        assert np.array_equal(tc.consistency, tc.rows @ tc.lift % tc.e), (module, deg)
+        assert np.array_equal(tc.consistency, rows @ tc.lift % tc.e), (module, deg)
+
+
+def _evaluator_cases():
+    """The oracle family and the twisted Z/2 x Z/4 over C8 and D4."""
+    from gerbes.fixtures import oracle_groups, oracle_modules
+
+    for _, group in oracle_groups():
+        for _, module in oracle_modules(group):
+            yield module
+    d4, odd = _d4_odd()
+    yield _twisted_modules(cyclic_group(8), range(1, 8, 2))[2]
+    yield _twisted_modules(d4, odd)[2]
+
+
+def test_every_slot_set_is_rows_of_the_full_matrix():
+    """For every named slot set, the d-matrix and the evaluator on a random
+    batch are the rows of the whole d_n at those slots, exactly and
+    unreduced, in degrees 0-3; the whole d_n is the oracle's bar matrix."""
+    from gerbes import oracle
+    from gerbes.cochain import _apply_d, _differential_matrix, _slot_set
+
+    rng = np.random.default_rng(11)
+    for module in _evaluator_cases():
+        group, k, e = module.group, module.rank, module.carrier.exponent
+        q = group.order - 1
+        for deg in (0, 1, 2, 3):
+            full = _differential_matrix(module, deg).reshape(q ** (deg + 1), k, q**deg * k)
+            if module.is_trivial_action and len(set(module.carrier.factors)) == 1:
+                bar = oracle._bar_matrix(group, e, k, deg, normalized=True)
+                assert np.array_equal(full.reshape(bar.shape) % e, bar), (module, deg)
+            for rows in ("all", "generators", "off_tree"):
+                slots = _slot_set(module, deg, rows)
+                assert np.array_equal(slots, np.unique(slots)), (module, deg, rows)
+                mat = _differential_matrix(module, deg, rows)
+                assert np.array_equal(mat, full[slots].reshape(mat.shape)), (module, deg, rows)
+                batch = rng.integers(0, e, size=(q**deg, k, 3))
+                got = _apply_d(module, deg, rows, batch)
+                want = mat @ batch.reshape(q**deg * k, 3)
+                assert np.array_equal(got.reshape(want.shape), want), (module, deg, rows)
+
+
+def test_plan_slot_bound(monkeypatch):
+    """A plan past the slot bound is refused with its slot count, and nothing is cached."""
+    from gerbes import cochain
+
+    m = trivial_module(cyclic_group(6), (2,))
+    c = Cochain.zero(m, 3)
+    # The generator rows of d_3 over C6 are 5^3 = 125 slots.
+    monkeypatch.setattr(cochain, "_PLAN_SLOT_BOUND", 124)
+    with pytest.raises(SizeBound, match="125 generators output slots, past the plan bound of 124"):
+        is_cocycle(c)
+    assert m._memo == {}
+    monkeypatch.undo()
+    assert is_cocycle(c)
+
+
+def test_degree_3_solve_builds_no_full_degree_2_plan():
+    """A degree-3 solve checks its primitive on the generator rows, so no
+    degree-2 plan over all q^3 slots is built."""
+    from gerbes.cochain import _DiffPlan
+
+    module = _twisted_modules(cyclic_group(22), range(1, 22, 2))[0]
+    q = module.group.order - 1
+    y = differential(Cochain.random(module, 2, random.Random(3)))
+    module._memo.clear()
+    assert solve_coboundary(y).primitive is not None
+    plans = [p for p in module._memo.values() if isinstance(p, _DiffPlan) and p.degree == 2]
+    assert plans and all(len(p.slots) < q**3 for p in plans)

@@ -223,9 +223,3 @@ def test_direct_product_and_named_groups():
     assert commutator_subgroup(sl).order == 120
     g = direct_product(cyclic_group(2), cyclic_group(3))
     assert g.order == 6 and g.is_abelian
-
-
-def test_permutation_labels_are_cycles():
-    s3 = symmetric_group(3)
-    assert s3.label(0) == "()"
-    assert any("(" in s3.label(x) for x in range(1, 6))
