@@ -330,7 +330,7 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
     basis = hermite_column_basis(howell_relations(scaled.T, eye, e), e)
 
     rel_cols = [solve_column_basis(basis, h * eye[j]) for j, h in enumerate(amb.factors)]
-    factors, coeffs, _ = smith_quotient(np.array(rel_cols, dtype=object).T)
+    factors, coeffs, _ = smith_quotient(np.array(rel_cols, dtype=object).T, math.lcm(*amb.factors))
 
     gens = []
     for order, vec in zip(factors, (np.array(basis, dtype=object).T @ coeffs).T):

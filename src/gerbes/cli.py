@@ -38,6 +38,17 @@ from .gerbe import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer n >= 1, else a usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
@@ -47,10 +58,10 @@ def _parser() -> argparse.ArgumentParser:
                         help="include representative cocycles and traces")
     common.add_argument("--expect-zero", action="store_true",
                         help="exit 1 when the computed invariant is nonzero")
-    common.add_argument("--max-group-order", type=int, default=64,
+    common.add_argument("--max-group-order", type=_positive_int, default=64,
                         help="largest order of a group that acts on coefficients: module "
                              "groups, extension quotients, the model group (default 64)")
-    common.add_argument("--mu-enlarge-bound", type=int, default=1,
+    common.add_argument("--mu-enlarge-bound", type=_positive_int, default=1,
                         help="retry H^3 obstructions with mu enlarged up to this factor")
     common.add_argument("--quiet", action="store_true", help="suppress output")
 
@@ -75,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", parents=[common], help="arithmetic model commands")
     p.add_argument("action", choices=("check", "search-inv"))
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=1_000_000)
+    p.add_argument("--bound", type=_positive_int, default=1_000_000)
 
     p = sub.add_parser("gerbe", parents=[common], help="gerbe/extension commands")
     p.add_argument("action", choices=("class", "local-sections", "brauer", "mh"))

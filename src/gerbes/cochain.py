@@ -59,6 +59,7 @@ from .linalg import (
     howell_reduce_rows,
     howell_relations,
     kernel_mod,
+    product_mod,
     smith_quotient,
     solve_mod,
 )
@@ -458,17 +459,6 @@ def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.n
     return scaled.reshape(mat.shape), slots, _modulus(module)
 
 
-def _product_mod(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
-    """a @ b mod e, exactly, for int64 entries in [0, e).
-
-    In int64 while the inner dimension times (e - 1)**2 stays below 2**63,
-    in Python ints otherwise.
-    """
-    if a.shape[-1] * (e - 1) ** 2 < 1 << 63:
-        return a @ b % e
-    return (a.astype(object) @ b.astype(object) % e).astype(np.int64)
-
-
 def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """The cochains c with generator coordinates ``v`` and dc = y on the tree slots, over Z/e.
 
@@ -583,7 +573,7 @@ def _cocycle_rows(module: GModule, degree: int) -> np.ndarray:
     cols, factors = _carrier_columns(module, degree)
     carrier = np.zeros((len(cols), tc.lift.shape[0]), dtype=np.int64)
     carrier[np.arange(len(cols)), cols] = factors
-    return howell_reduce_rows(np.vstack([_product_mod(kernel, tc.lift.T, e), carrier])[:, ::-1], e)
+    return howell_reduce_rows(np.vstack([product_mod(kernel, tc.lift.T, e), carrier])[:, ::-1], e)
 
 
 class CohomologyGroup:
@@ -625,7 +615,7 @@ class CohomologyGroup:
         relations = np.diag(np.tile(np.asarray(module.carrier.factors, dtype=object), q**degree))
         if degree >= 1:
             relations = np.hstack([_differential_matrix(module, degree - 1), relations])
-        self.factors, generators, reducers = smith_quotient(kernel.coordinates(relations))
+        self.factors, generators, reducers = smith_quotient(kernel.coordinates(relations), e * e)
         self.representatives = tuple(
             Cochain(module, degree, vec.reshape(-1, module.rank))
             for vec in (kernel.basis @ generators).T
@@ -749,7 +739,7 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     v, _ = solve_mod(tc.consistency, rhs, e)
     if v is None:
         return _obstruction(y)
-    x = (base.ravel() + _product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
+    x = (base.ravel() + product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
     for row in memo(module, n - 1, _cocycle_rows, module, n - 1):
         p = int(np.flatnonzero(row)[0])
         x = (x - x[p] // row[p] * row) % e
@@ -797,7 +787,7 @@ def cocycle_annihilator(module: GModule, degree: int, phi: Sequence[int]) -> np.
     phi = np.asarray(phi, dtype=np.int64) % e
     if _carrier_values(module, degree, phi).any():
         return None
-    target = _product_mod(phi, tc.lift, e)
+    target = product_mod(phi, tc.lift, e)
     y, _ = solve_mod(tc.consistency.T, target, e)
     if y is None:
         return None
@@ -820,7 +810,7 @@ def cocycle_relations(module: GModule, degree: int, phis: np.ndarray, tags: np.n
     phis = np.asarray(phis, dtype=np.int64) % e
     carrier = _carrier_values(module, degree, phis)
     consistency = np.hstack([tc.consistency, np.zeros((len(tc.consistency), carrier.shape[1]), dtype=np.int64)])
-    left = np.vstack([consistency, np.hstack([_product_mod(phis, tc.lift, e), carrier])])
+    left = np.vstack([consistency, np.hstack([product_mod(phis, tc.lift, e), carrier])])
     zeros = np.zeros((len(consistency), tags.shape[1]), dtype=np.int64)
     return howell_relations(left, np.vstack([zeros, tags]), e)
 

@@ -1,21 +1,36 @@
 """Exact integer linear algebra: Smith, Howell and Hermite forms, kernels mod n.
 
-Exact matrices are numpy arrays of dtype ``object`` holding Python
-integers, so results are exact at any size; row reduction mod a small
+Exact results are numpy arrays of dtype ``object`` holding Python
+integers, so they are exact at any size; row reduction mod a small
 modulus uses int64 arrays, where every intermediate value stays far below
 2**63.
 
-``snf`` returns unimodular ``U``, ``V`` with ``U @ M @ V`` diagonal, plus
-their exact inverses, tracked by mirroring every elementary operation.
-Pivot selection is deterministic (smallest nonzero absolute value,
-row-major tie break), so identical inputs produce identical transforms on
-every platform.
+One Smith elimination, ``_smith``, serves ``snf``, ``kernel_mod`` and
+``smith_quotient``.  Its pivot is the smallest nonzero absolute value,
+ties broken row-major, so identical inputs give identical transforms on
+every platform.  Its pivot matrix is exact: int64 while a per-step bound
+proves the next update exact, promoted in place to Python ints past it.
+It tracks only the transforms its caller reads, each with its inverse, by
+mirroring every elementary operation:
+
+- ``snf`` tracks U, V, U_inv and V_inv exactly and re-verifies them in
+  Python ints (``_verify_snf``);
+- ``kernel_mod`` tracks V and V_inv exactly and no U, and certifies its
+  kernel by V V_inv = I, the kernel congruence and the index;
+- ``smith_quotient`` tracks all four reduced mod N, a multiple of the
+  quotient's exponent named by its caller, and checks them mod N, which
+  decides the quotient exactly (the lemma in its docstring).
+
+Tracking the transforms modulo a multiple of the exponent is the modular
+method of Domich, Kannan and Trotter (Math. Oper. Res. 12, 1987) and of
+Storjohann and Mulders, "Fast algorithms for linear algebra modulo N"
+(ESA 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +57,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class SNFResult:
     """U @ M @ V = D with U, V unimodular; diag holds the diagonal of D.
 
-    The four transforms are object arrays of Python integers.
+    The four transforms are exact object arrays of Python integers, which
+    ``snf`` re-verifies; ``kernel_mod`` and ``smith_quotient`` build none.
     """
 
     rows: int
@@ -55,6 +71,209 @@ class SNFResult:
 
     def diagonal_at(self, i: int) -> int:
         return self.diag[i] if i < len(self.diag) else 0
+
+
+_INT64 = 1 << 63
+
+
+def _absmax(x: np.ndarray) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def product_mod(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
+    """a @ b mod e, exactly, for entries in [0, e).
+
+    In int64 while the inner dimension times (e - 1)**2 stays below 2**63,
+    in Python ints otherwise; the result is int64.
+    """
+    if a.shape[-1] * (e - 1) ** 2 < _INT64:
+        return a @ b % e
+    return (a.astype(object) @ b.astype(object) % e).astype(np.int64)
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly: in int64 when a bound on every partial sum fits, in Python ints otherwise."""
+    if a.shape[-1] * _absmax(a) * _absmax(b) < _INT64:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
+class _Rows:
+    """An integer matrix under row operations, exact or reduced mod ``modulus``.
+
+    An exact matrix is held in int64 while ``bound``, a bound on its
+    entries, proves the next update exact, and is promoted in place to
+    Python ints once it cannot.  A matrix mod N (``modulus`` N > 0) keeps
+    its entries and scalars in [0, N), so an update of n rows stays below
+    n N^2, and it is held in int64 when that bound fits.
+    """
+
+    __slots__ = ("x", "modulus", "bound")
+
+    def __init__(self, x: np.ndarray, modulus: int = 0) -> None:
+        self.modulus = modulus
+        if modulus and len(x) * modulus**2 >= _INT64:
+            x = x.astype(object)
+        self.x = x
+        self.bound = 0 if modulus else _absmax(x)
+
+    def _room(self, grow: int) -> None:
+        """Make room for an update whose entries are at most ``grow`` times the bound."""
+        if self.x.dtype == object or self.modulus:
+            return
+        if self.bound * grow >= _INT64:
+            self.bound = _absmax(self.x)
+        if self.bound * grow >= _INT64:
+            self.x = self.x.astype(object)
+        else:
+            self.bound *= grow
+
+    def _scalars(self, q: np.ndarray, terms: int) -> np.ndarray:
+        """``q``, reduced mod N, in this matrix's dtype, with room for a sum of ``terms`` multiples."""
+        if self.modulus:
+            q = q % self.modulus
+        else:
+            self._room(1 + terms * _absmax(q))
+        return q.astype(self.x.dtype, copy=False)
+
+    def _reduce(self, at: slice | int) -> None:
+        if self.modulus:
+            self.x[at] %= self.modulus
+
+    def swap(self, t: int, i: int) -> None:
+        self.x[[t, i]] = self.x[[i, t]]
+
+    def axpy(self, t: int, q: np.ndarray) -> None:
+        """row_i += q_i row_t for every i > t."""
+        q = self._scalars(q, 1)
+        self.x[t + 1 :] += q[:, None] * self.x[t]
+        self._reduce(slice(t + 1, None))
+
+    def dot(self, t: int, q: np.ndarray) -> None:
+        """row_t -= sum_i q_i row_i over i > t."""
+        q = self._scalars(q, len(q))
+        self.x[t] -= q @ self.x[t + 1 :]
+        self._reduce(t)
+
+    def add(self, t: int, b: int, sign: int) -> None:
+        """row_t += sign row_b."""
+        self._room(2)
+        self.x[t] += sign * self.x[b]
+        self._reduce(t)
+
+    def negate(self, t: int) -> None:
+        self.x[t] = -self.x[t]
+        self._reduce(t)
+
+
+class _Transform:
+    """A transform T and its inverse, under the operations of one side of the elimination.
+
+    It holds T and the transpose of T^-1, both as ``_Rows``: an elementary
+    operation E sends T to E T and T^-1 to T^-1 E^-1, so the second matrix
+    takes E^-T, which is again a row operation.  For U the operations are
+    the elimination's row operations; for V, held as V^T and V_inv, they
+    are its column operations, transposed.
+    """
+
+    __slots__ = ("fwd", "inv")
+
+    def __init__(self, n: int, modulus: int) -> None:
+        self.fwd = _Rows(np.eye(n, dtype=np.int64), modulus)
+        self.inv = _Rows(np.eye(n, dtype=np.int64), modulus)
+
+    def swap(self, t: int, i: int) -> None:
+        self.fwd.swap(t, i)
+        self.inv.swap(t, i)
+
+    def reduce(self, t: int, q: np.ndarray) -> None:
+        """line_i += q_i line_t for every i > t."""
+        self.fwd.axpy(t, q)
+        self.inv.dot(t, q)
+
+    def add(self, t: int, b: int) -> None:
+        """line_t += line_b."""
+        self.fwd.add(t, b, 1)
+        self.inv.add(b, t, -1)
+
+    def negate(self, t: int) -> None:
+        self.fwd.negate(t)
+        self.inv.negate(t)
+
+
+_Pair = tuple[np.ndarray, np.ndarray]
+
+
+def _smith(
+    m: np.ndarray, left: bool, right: bool, modulus: int = 0
+) -> tuple[tuple[int, ...], _Pair | None, _Pair | None]:
+    """The Smith elimination of ``m``: its exact diagonal and the transforms asked for.
+
+    ``m`` is an object array of Python ints or an int64 array with no
+    entry -2**63.  The pivot is the smallest nonzero
+    |entry| of the remaining block, ties broken row-major, so identical
+    inputs give identical transforms on every platform.  The pivot matrix
+    is exact (``_Rows``, int64 until an update could overflow).  The left
+    transform (U) and the right one (V) are tracked only when asked for,
+    exactly or, when ``modulus`` N > 0, reduced mod N, and returned as
+    (U, U_inv) and (V, V_inv), or None.
+    """
+    rows, cols = m.shape
+    fits = m.dtype != object or _absmax(m) < _INT64 >> 1
+    a = _Rows(m.astype(np.int64) if fits else m.copy())
+    u = _Transform(rows, modulus) if left else None
+    v = _Transform(cols, modulus) if right else None
+    for t in range(min(rows, cols)):
+        while True:
+            block = np.abs(a.x[t:, t:]).ravel()
+            live = np.flatnonzero(block)
+            if live.size == 0:
+                break
+            a.bound = int(block.max())
+            i, j = divmod(int(live[np.argmin(block[live])]), cols - t)
+            if i:
+                a.swap(t, t + i)
+                if u:
+                    u.swap(t, t + i)
+            if j:
+                a.x[:, [t, t + j]] = a.x[:, [t + j, t]]
+                if v:
+                    v.swap(t, t + j)
+            p = a.x[t, t]
+            # Reduce column t, then row t, against the pivot: row_i += q_i row_t
+            # for every i > t, then col_j += q_j col_t for every j > t.
+            q = -(a.x[t + 1 :, t] // p)
+            if q.any():
+                a.axpy(t, q)
+                if u:
+                    u.reduce(t, q)
+            if a.x[t + 1 :, t].any():
+                continue  # a remainder smaller than |p| appeared
+            q = -(a.x[t, t + 1 :] // p)
+            if q.any():
+                # Column t is p e_t now, so the column operations change row t only.
+                a.x[t, t + 1 :] %= p
+                if v:
+                    v.reduce(t, q)
+            if a.x[t, t + 1 :].any():
+                continue
+            # Make the pivot divide every remaining entry, so the final
+            # diagonal satisfies the chain with no post-processing.
+            bad = np.flatnonzero((a.x[t + 1 :, t + 1 :] % p).any(axis=1))
+            if bad.size == 0:
+                break
+            b = t + 1 + int(bad[0])
+            a.add(t, b, 1)
+            if u:
+                u.add(t, b)
+        if live.size == 0:
+            break
+        if a.x[t, t] < 0:
+            a.negate(t)
+            if u:
+                u.negate(t)
+    diag = tuple(int(a.x[i, i]) for i in range(min(rows, cols)))
+    return diag, u and (u.fwd.x, u.inv.x.T), v and (v.fwd.x.T, v.inv.x)
 
 
 def _verify_snf(m: np.ndarray, res: SNFResult) -> None:
@@ -79,80 +298,51 @@ def snf(m: Sequence[Sequence[int]] | np.ndarray) -> SNFResult:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     m = np.array(m, dtype=object).reshape(rows, cols)
-    a = m.copy()
-    u, u_inv = np.identity(rows, dtype=object), np.identity(rows, dtype=object)
-    v, v_inv = np.identity(cols, dtype=object), np.identity(cols, dtype=object)
-    for t in range(min(rows, cols)):
-        while True:
-            block = np.abs(a[t:, t:]).ravel()
-            live = np.flatnonzero(block)
-            if live.size == 0:
-                break
-            i, j = divmod(int(live[np.argmin(block[live])]), cols - t)
-            if i:
-                i += t
-                a[[t, i]] = a[[i, t]]
-                u[[t, i]] = u[[i, t]]
-                u_inv[:, [t, i]] = u_inv[:, [i, t]]
-            if j:
-                j += t
-                a[:, [t, j]] = a[:, [j, t]]
-                v[:, [t, j]] = v[:, [j, t]]
-                v_inv[[t, j]] = v_inv[[j, t]]
-            p = a[t, t]
-            # Reduce column t, then row t, against the pivot: row_i += q_i row_t
-            # for every i > t, then col_j += q_j col_t for every j > t.
-            q = -(a[t + 1 :, t] // p)
-            if q.any():
-                a[t + 1 :] += q[:, None] * a[t]
-                u[t + 1 :] += q[:, None] * u[t]
-                u_inv[:, t] -= u_inv[:, t + 1 :] @ q
-            if a[t + 1 :, t].any():
-                continue  # a remainder smaller than |p| appeared
-            q = -(a[t, t + 1 :] // p)
-            if q.any():
-                a[:, t + 1 :] += a[:, t, None] * q
-                v[:, t + 1 :] += v[:, t, None] * q
-                v_inv[t] -= q @ v_inv[t + 1 :]
-            if a[t, t + 1 :].any():
-                continue
-            # Make the pivot divide every remaining entry, so the final
-            # diagonal satisfies the chain with no post-processing.
-            bad = np.flatnonzero((a[t + 1 :, t + 1 :] % p).any(axis=1))
-            if bad.size == 0:
-                break
-            b = t + 1 + int(bad[0])
-            a[t] += a[b]
-            u[t] += u[b]
-            u_inv[:, b] -= u_inv[:, t]
-        if live.size == 0:
-            break
-        if a[t, t] < 0:
-            a[t] = -a[t]
-            u[t] = -u[t]
-            u_inv[:, t] = -u_inv[:, t]
-
-    diag = tuple(a[i, i] for i in range(min(rows, cols)))
-    res = SNFResult(rows, cols, diag, u, v, u_inv, v_inv)
+    diag, (U, U_inv), (V, V_inv) = _smith(m, left=True, right=True)
+    res = SNFResult(rows, cols, diag, *(x.astype(object) for x in (U, V, U_inv, V_inv)))
     _verify_snf(m, res)
     return res
 
 
-def smith_quotient(relations: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Z^dim modulo the lattice spanned by the columns of ``relations``.
+def smith_quotient(
+    relations: np.ndarray, modulus: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Z^dim modulo the lattice L spanned by the columns of ``relations``.
 
-    Returns the invariant factors d >= 2 of the quotient, the generator
-    columns (from ``U_inv``) and the reducer rows (from ``U``): the class of
-    y has coordinates ``reducers @ y`` mod the factors, and the k-th
-    generator column has coordinates e_k.  Raises if the quotient is
-    infinite.
+    The caller guarantees that N = ``modulus`` kills the quotient, that is
+    N Z^dim is inside L.  Returns the invariant factors d >= 2 of the
+    quotient, the generator columns (from ``U_inv``) and the reducer rows
+    (from ``U``), both mod N: the class of y has coordinates
+    ``reducers @ y`` mod the factors, and the k-th generator column has
+    coordinates e_k.  Raises if some diagonal entry is 0 or does not divide
+    N, which N Z^dim inside L rules out.
+
+    The diagonal comes from the exact pivot matrix; the transforms are
+    tracked mod N only, and checked: U R V == D, U U_inv == I and
+    V V_inv == I mod N.  Lemma: when N Z^dim is inside L, these checks
+    decide Z^dim / L exactly.  Proof: Z^dim / L = (Z/N)^dim / (L / N Z^dim),
+    and L / N Z^dim is the column span of R mod N.  V is invertible mod N,
+    so R V spans it too, and so does D = U R V after the automorphism U of
+    (Z/N)^dim.  So x -> U x mod N induces Z^dim / L = (+)_i Z/d_i, with
+    the inverse sending e_k to the column k of U_inv.
     """
-    res = snf(relations)
-    diag = [res.diagonal_at(i) for i in range(res.rows)]
+    rows, cols = relations.shape
+    diag, (U, U_inv), (V, V_inv) = _smith(relations, left=True, right=True, modulus=modulus)
+    diag += (0,) * (rows - len(diag))
     if 0 in diag:
         raise GerbesError("quotient has a free part; relations are missing")
-    keep = [i for i, d in enumerate(diag) if d >= 2]
-    return tuple(diag[i] for i in keep), res.U_inv[:, keep], res.U[keep]
+    if any(modulus % d for d in diag):
+        raise GerbesError(f"the quotient is not killed by {modulus}")
+    d = np.zeros((rows, cols), dtype=np.int64)
+    d[np.arange(rows), np.arange(rows)] = [x % modulus for x in diag]
+    r = np.asarray(relations % modulus, dtype=np.int64)
+    if not np.array_equal(product_mod(product_mod(U, r, modulus), V, modulus), d):
+        raise GerbesError("smith quotient round-trip check failed")
+    for mat, inv in ((U, U_inv), (V, V_inv)):
+        if not np.array_equal(product_mod(mat, inv, modulus), np.eye(len(mat), dtype=np.int64)):
+            raise GerbesError("smith quotient transform inverse check failed")
+    keep = [i for i, x in enumerate(diag) if x >= 2]
+    return tuple(diag[i] for i in keep), U_inv[:, keep].astype(object), U[keep].astype(object)
 
 
 def hermite_column_basis(generators: np.ndarray | Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
@@ -271,7 +461,8 @@ def howell_relations(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
 class LatticeKernel:
     """K = {x in Z^cols : A x == 0 mod e}, with exact object arrays.
 
-    The basis columns are V @ diag(m); coordinates come from V_inv.
+    The basis columns are V @ diag(m); coordinates come from V_inv.  V and
+    V_inv are exact, not reduced, and V_inv is the inverse of V.
     """
 
     basis: np.ndarray
@@ -280,23 +471,41 @@ class LatticeKernel:
 
     def coordinates(self, x: Sequence[int] | np.ndarray) -> np.ndarray:
         """Coordinates in ``basis`` of a vector, or of each column of a matrix."""
-        y = self.V_inv @ np.asarray(x, dtype=object)
-        m = self.multipliers if y.ndim == 1 else self.multipliers[:, None]
+        y = _exact_product(self.V_inv, np.asarray(x))
+        m = self.multipliers.astype(y.dtype)
+        m = m if y.ndim == 1 else m[:, None]
         if (y % m).any():
             raise GerbesError("vector is not in the kernel lattice")
         return y // m
 
 
 def kernel_mod(a: np.ndarray, e: int) -> LatticeKernel:
-    """Kernel lattice of ``a`` mod ``e`` (rows may exceed columns freely)."""
+    """Kernel lattice of ``a`` mod ``e`` (rows may exceed columns freely).
+
+    The Smith elimination of the Howell rows of ``a`` tracks V and V_inv
+    exactly and no U; m_j = e / gcd(d_j, e) for its diagonal d.  The result
+    is certified exactly: V V_inv = I, so V is unimodular; a V diag(m) == 0
+    mod e, so the basis spans a sublattice of K; and prod m_j equals
+    prod e / g_i over the Howell pivots g_i, which is the size of the row
+    span of ``a`` mod e and so the index of K in Z^cols.  A sublattice of
+    the same index is K itself.
+    """
     cols = int(a.shape[1])
     reduced = howell_reduce_rows(a, e)
     if not len(reduced):
         ident = np.identity(cols, dtype=object)
         return LatticeKernel(ident, ident, np.ones(cols, dtype=object))
-    res = snf(reduced)
-    mult = np.array([e // gcd(res.diagonal_at(i), e) for i in range(cols)], dtype=object)
-    return LatticeKernel(res.V * mult, res.V_inv, mult)
+    diag, _, (V, V_inv) = _smith(reduced, left=False, right=True)
+    diag += (0,) * (cols - len(diag))
+    mult = np.asarray([e // gcd(d, e) for d in diag], dtype=np.int64)
+    if not np.array_equal(_exact_product(V, V_inv), np.eye(cols, dtype=np.int64)):
+        raise GerbesError("kernel transform inverse check failed")
+    if product_mod(np.mod(a, e), np.mod(V, e).astype(np.int64) * mult % e, e).any():
+        raise GerbesError("kernel basis vector is not in the kernel")
+    pivots = reduced[np.arange(len(reduced)), (reduced != 0).argmax(axis=1)]
+    if prod(int(x) for x in mult) != prod(e // int(g) for g in pivots):
+        raise GerbesError("kernel basis has the wrong index")
+    return LatticeKernel(V.astype(object) * mult, V_inv.astype(object), mult.astype(object))
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,52 @@ def test_internal_errors_exit_4(witness_path, monkeypatch, capsys):
 
 
 
+def test_a_dropped_column_operation_exits_4(witness_path, monkeypatch, capsys):
+    """A Smith elimination that skips one column operation on V and V_inv
+    (inside ``kernel_mod``, which tracks no U) fails the kernel certificate,
+    which the CLI reports as an internal error."""
+    from gerbes import cochain, linalg
+
+    inside, dropped = [], []
+    kernel_mod, reduce = linalg.kernel_mod, linalg._Transform.reduce
+
+    def kernel(a, e):
+        inside.append(True)
+        try:
+            return kernel_mod(a, e)
+        finally:
+            inside.pop()
+
+    def skip_first(self, t, q):
+        if inside and not dropped:
+            dropped.append(t)
+            return
+        reduce(self, t, q)
+
+    monkeypatch.setattr(cochain, "kernel_mod", kernel)
+    monkeypatch.setattr(linalg._Transform, "reduce", skip_first)
+    assert run(["model", "check", witness_path]) == 4
+    assert dropped
+    assert "internal error: kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "search-inv", "--bound", "-1"],
+        ["model", "check", "--max-group-order", "0"],
+        ["gerbe", "mh", "--mu-enlarge-bound", "-3"],
+        ["gerbe", "mh", "--mu-enlarge-bound", "two"],
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(argv, witness_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv[:-2], witness_path, *argv[-2:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+
+
 def test_splitting_search_bound_names_its_count(witness_path, monkeypatch, capsys):
     """The crossed-homomorphism search is refused before it enumerates,
     with its candidate count and the bound in the message."""

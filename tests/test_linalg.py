@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerbes import linalg
 from gerbes.errors import GerbesError
 from gerbes.linalg import (
     hermite_column_basis,
+    howell_reduce_rows,
     howell_relations,
     kernel_mod,
+    smith_quotient,
     snf,
     solve_column_basis,
     solve_mod,
@@ -243,3 +247,137 @@ def test_solve_mod_needs_howell_closure():
     x, failed = solve_mod(a, [1], 4)
     assert x is not None
     assert (2 * x[0] + x[1]) % 4 == 1
+
+
+def _seeded_relations(seed, modulus):
+    """R = [A | N I] for a seeded A, so N Z^rows lies in the column span of R."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 6), rng.randint(0, 6)
+    a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    return np.hstack([np.array(a, dtype=object).reshape(rows, cols), modulus * np.identity(rows, dtype=object)])
+
+
+def _c2xc4_global_h2_relations(monkeypatch):
+    """The relations and modulus that the global H^2(C2 x C4, Z/4(chi)) of a
+    model over C2 x C4 passes to smith_quotient; chi is -1 on the C2 factor."""
+    from gerbes import cochain
+    from gerbes.groups import FiniteGroup
+    from gerbes.modules import cyclic_module
+
+    table = [[4 * ((i // 4 + j // 4) % 2) + (i + j) % 4 for j in range(8)] for i in range(8)]
+    mu = cyclic_module(FiniteGroup(table), 4, {x: 3 for x in range(4, 8)})
+    seen = []
+
+    def spy(relations, modulus):
+        seen.append((relations, modulus))
+        return smith_quotient(relations, modulus)
+
+    monkeypatch.setattr(cochain, "smith_quotient", spy)
+    assert cochain.CohomologyGroup(mu, 2).factors == (2, 2, 2)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _assert_quotient_matches_snf(relations, modulus):
+    factors, generators, reducers = smith_quotient(relations, modulus)
+    res = snf(relations)
+    keep = [i for i in range(res.rows) if res.diagonal_at(i) >= 2]
+    assert factors == tuple(res.diag[i] for i in keep)
+    assert ((reducers - res.U[keep]) % modulus == 0).all()
+    assert ((generators - res.U_inv[:, keep]) % modulus == 0).all()
+    assert all(0 <= x < modulus for x in [*reducers.ravel(), *generators.ravel()])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_smith_quotient_matches_exact_snf(seed):
+    modulus = (4, 12, 16, 30)[seed % 4]
+    _assert_quotient_matches_snf(_seeded_relations(seed, modulus), modulus)
+
+
+def test_smith_quotient_promotes_a_growing_pivot_matrix(monkeypatch):
+    """Entries below 2**41 whose first row update passes 2**63: the pivot
+    matrix leaves int64 in place and the result still matches snf."""
+    promoted = []
+    room = linalg._Rows._room
+
+    def spy(self, grow):
+        before = self.x.dtype
+        room(self, grow)
+        if not self.modulus and before != object and self.x.dtype == object:
+            promoted.append(self.x.shape)
+
+    monkeypatch.setattr(linalg._Rows, "_room", spy)
+    big = 2**40
+    a = np.array([[3, big, 7], [big + 1, 5, big - 3], [11, big + 5, 2**39]], dtype=object)
+    relations = np.hstack([a, 12 * np.identity(3, dtype=object)])
+    _assert_quotient_matches_snf(relations, 12)
+    assert (3, 6) in promoted
+
+
+def test_smith_quotient_of_a_c2xc4_global_h2(monkeypatch):
+    relations, modulus = _c2xc4_global_h2_relations(monkeypatch)
+    assert modulus == 16 and relations.shape == (49, 56)
+    _assert_quotient_matches_snf(relations, modulus)
+
+
+def test_smith_quotient_refuses_a_modulus_that_misses_the_quotient():
+    with pytest.raises(GerbesError, match="free part"):
+        smith_quotient(np.zeros((1, 2), dtype=object), 4)
+    with pytest.raises(GerbesError, match="not killed by 4"):
+        smith_quotient(np.array([[8]], dtype=object), 4)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_mod_matches_snf_of_the_howell_rows(seed):
+    rng = random.Random(seed)
+    e = rng.choice((2, 4, 6, 8, 12))
+    rows, cols = rng.randint(1, 8), rng.randint(1, 7)
+    a = np.array([[rng.randrange(e) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    kern = kernel_mod(a, e)
+    howell = howell_reduce_rows(a, e)
+    if not len(howell):
+        assert (kern.basis == np.identity(cols, dtype=object)).all()
+        return
+    res = snf(howell)
+    mult = np.array([e // math.gcd(res.diagonal_at(i), e) for i in range(cols)], dtype=object)
+    assert np.array_equal(kern.basis, res.V * mult)
+    assert np.array_equal(kern.V_inv, res.V_inv)
+    assert all(type(x) is int for x in [*kern.basis.ravel(), *kern.V_inv.ravel()])
+
+
+def _drop_first_column_operation(monkeypatch, cols):
+    """Make the Smith elimination skip one column operation on V and V_inv.
+
+    The dropped operation is the first one on a transform of size ``cols``;
+    V and V_inv stay inverse to each other, so only a check against the
+    matrix itself can notice.
+    """
+    reduce = linalg._Transform.reduce
+    dropped = []
+
+    def skip_first(self, t, q):
+        if not dropped and len(self.fwd.x) == cols:
+            dropped.append(t)
+            return
+        reduce(self, t, q)
+
+    monkeypatch.setattr(linalg._Transform, "reduce", skip_first)
+    return dropped
+
+
+def test_kernel_certificate_catches_a_dropped_column_operation(monkeypatch):
+    a = np.array([[1, 2, 3, 2], [2, 0, 1, 3]], dtype=np.int64)
+    kernel_mod(a, 4)
+    dropped = _drop_first_column_operation(monkeypatch, 4)
+    with pytest.raises(GerbesError, match="kernel"):
+        kernel_mod(a, 4)
+    assert dropped
+
+
+def test_quotient_check_catches_a_dropped_column_operation(monkeypatch):
+    relations = np.array([[2, 3, 4, 0], [1, 2, 0, 4]], dtype=object)
+    smith_quotient(relations, 4)
+    dropped = _drop_first_column_operation(monkeypatch, 4)
+    with pytest.raises(GerbesError, match="smith quotient"):
+        smith_quotient(relations, 4)
+    assert dropped
