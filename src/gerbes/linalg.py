@@ -205,24 +205,24 @@ _Pair = tuple[np.ndarray, np.ndarray]
 
 
 def _smith(
-    m: np.ndarray, left: bool, right: bool, modulus: int = 0
-) -> tuple[tuple[int, ...], _Pair | None, _Pair | None]:
-    """The Smith elimination of ``m``: its exact diagonal and the transforms asked for.
+    m: np.ndarray, left: bool, modulus: int = 0
+) -> tuple[tuple[int, ...], _Pair | None, _Pair]:
+    """The Smith elimination of ``m``: its exact diagonal and its transforms.
 
     ``m`` is an object array of Python ints or an int64 array with no
     entry -2**63.  The pivot is the smallest nonzero
     |entry| of the remaining block, ties broken row-major, so identical
     inputs give identical transforms on every platform.  The pivot matrix
-    is exact (``_Rows``, int64 until an update could overflow).  The left
-    transform (U) and the right one (V) are tracked only when asked for,
-    exactly or, when ``modulus`` N > 0, reduced mod N, and returned as
-    (U, U_inv) and (V, V_inv), or None.
+    is exact (``_Rows``, int64 until an update could overflow).  The right
+    transform (V) is always tracked and the left one (U) only when
+    ``left``, exactly or, when ``modulus`` N > 0, reduced mod N; they are
+    returned as (U, U_inv), or None, and (V, V_inv).
     """
     rows, cols = m.shape
     fits = m.dtype != object or _absmax(m) < _INT64 >> 1
     a = _Rows(m.astype(np.int64) if fits else m.copy())
     u = _Transform(rows, modulus) if left else None
-    v = _Transform(cols, modulus) if right else None
+    v = _Transform(cols, modulus)
     for t in range(min(rows, cols)):
         while True:
             block = np.abs(a.x[t:, t:]).ravel()
@@ -237,8 +237,7 @@ def _smith(
                     u.swap(t, t + i)
             if j:
                 a.x[:, [t, t + j]] = a.x[:, [t + j, t]]
-                if v:
-                    v.swap(t, t + j)
+                v.swap(t, t + j)
             p = a.x[t, t]
             # Reduce column t, then row t, against the pivot: row_i += q_i row_t
             # for every i > t, then col_j += q_j col_t for every j > t.
@@ -253,8 +252,7 @@ def _smith(
             if q.any():
                 # Column t is p e_t now, so the column operations change row t only.
                 a.x[t, t + 1 :] %= p
-                if v:
-                    v.reduce(t, q)
+                v.reduce(t, q)
             if a.x[t, t + 1 :].any():
                 continue
             # Make the pivot divide every remaining entry, so the final
@@ -273,7 +271,7 @@ def _smith(
             if u:
                 u.negate(t)
     diag = tuple(int(a.x[i, i]) for i in range(min(rows, cols)))
-    return diag, u and (u.fwd.x, u.inv.x.T), v and (v.fwd.x.T, v.inv.x)
+    return diag, u and (u.fwd.x, u.inv.x.T), (v.fwd.x.T, v.inv.x)
 
 
 def _verify_snf(m: np.ndarray, res: SNFResult) -> None:
@@ -298,7 +296,7 @@ def snf(m: Sequence[Sequence[int]] | np.ndarray) -> SNFResult:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     m = np.array(m, dtype=object).reshape(rows, cols)
-    diag, (U, U_inv), (V, V_inv) = _smith(m, left=True, right=True)
+    diag, (U, U_inv), (V, V_inv) = _smith(m, left=True)
     res = SNFResult(rows, cols, diag, *(x.astype(object) for x in (U, V, U_inv, V_inv)))
     _verify_snf(m, res)
     return res
@@ -327,7 +325,7 @@ def smith_quotient(
     the inverse sending e_k to the column k of U_inv.
     """
     rows, cols = relations.shape
-    diag, (U, U_inv), (V, V_inv) = _smith(relations, left=True, right=True, modulus=modulus)
+    diag, (U, U_inv), (V, V_inv) = _smith(relations, left=True, modulus=modulus)
     diag += (0,) * (rows - len(diag))
     if 0 in diag:
         raise GerbesError("quotient has a free part; relations are missing")
@@ -495,7 +493,7 @@ def kernel_mod(a: np.ndarray, e: int) -> LatticeKernel:
     if not len(reduced):
         ident = np.identity(cols, dtype=object)
         return LatticeKernel(ident, ident, np.ones(cols, dtype=object))
-    diag, _, (V, V_inv) = _smith(reduced, left=False, right=True)
+    diag, _, (V, V_inv) = _smith(reduced, left=False)
     diag += (0,) * (cols - len(diag))
     mult = np.asarray([e // gcd(d, e) for d in diag], dtype=np.int64)
     if not np.array_equal(_exact_product(V, V_inv), np.eye(cols, dtype=np.int64)):
