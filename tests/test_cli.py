@@ -220,6 +220,20 @@ def test_json_output_round_trips(witness_path, tmp_path, capsys):
     payload2 = json.loads(capsys.readouterr().out)
     assert payload2["result"] == payload["result"]
 
+    # Every document command on both shipped documents: the echoed document
+    # alone reproduces the whole stdout, inputs included, byte for byte.
+    for docname, command in sorted(TEXT_DIGESTS):
+        argv = [*command.split(), "--output", "json", "--certificates"]
+        raw = resources.files("gerbes.data").joinpath(f"{docname}_document.json").read_text()
+        path = tmp_path / "shipped.json"
+        path.write_text(raw)
+        assert run([*argv, str(path)]) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "echoed.json"
+        path.write_text(json.dumps(json.loads(out)["inputs"]["document"]))
+        assert run([*argv, str(path)]) == 0
+        assert capsys.readouterr().out == out, (docname, command)
+
 
 DOCUMENT_COMMANDS = [
     ["cohomology"], ["dual"], ["sha"], ["model", "check"], ["model", "search-inv"],
@@ -471,6 +485,63 @@ def test_json_certificate_output_bytes(key, tmp_path, capsys):
     assert run([*command.split(), str(path), "--output", "json", "--certificates"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[key]
+
+
+# SHA-256 of stdout for `COMMAND DOC --output text` on the shipped documents.
+TEXT_DIGESTS = {
+    ("witness", "cohomology"): "6be44784fe76017a922877fcaea59654cb94006c020dab7fcb0c00f677449b16",
+    ("witness", "dual"): "59acc6d0258882ba4f3b460b9d3bc5782d913bd175bd2931aebcc1cbeffeda44",
+    ("witness", "sha"): "8e62e9ccc56d09196a76ac025dfa946eee7fd786be3294955dd6269b707fcd32",
+    ("witness", "model check"): "9d2e3f183152933323a12d54f25d9d94ecf42194d2c8a1f3737d330f98dabe73",
+    ("witness", "model search-inv"): "f5c48d24acce4502d7675562d3bce917a6b0e8a5a1c89aff1278fdb8fbf89098",
+    ("witness", "gerbe class"): "113d1c50835ef2473217e5f0b407c51ebdb1561b7719cadf0dc456b68105a8df",
+    ("witness", "gerbe local-sections"): "3ec5f1e6e6c5a7c03612faabf7a19e43454b87474472a4ac4b37c325d6c97405",
+    ("witness", "gerbe brauer"): "00d5fb12e49c65e011b1c90b305b027101da46768faba532606bb03fefbacf41",
+    ("witness", "gerbe mh"): "a3553540290518b24bf4f524a6006966d748fac03ef344e9936ad7efcf57b3fe",
+    ("witness", "verify factorization"): "793269c3a5254c2a9afabbf4e1f409b21cf16d13829c5c8e695e274908983644",
+    ("q8", "dual"): "ee0d7d7ea2db23c8798985ef0ec8a8d8fdf1c33c8f8ed092f4eb70dae3d92438",
+    ("q8", "sha"): "07ad87de74a1f74c25bee098c5885bbd78320b4b82781df1c11345f6921f2f33",
+    ("q8", "model check"): "9d2e3f183152933323a12d54f25d9d94ecf42194d2c8a1f3737d330f98dabe73",
+    ("q8", "model search-inv"): "9eae1c95d87b2c0ebda0f6b7693c8cf58f051f618dda5550c7131b164c60c71d",
+    ("q8", "gerbe class"): "b0d4fa0f24a2411ba2da14028a96c0bb7ce287893ba6d8312707468b680b9265",
+    ("q8", "gerbe local-sections"): "04ed17fb3353ec52eed94b45d2195da1e7351e8ac394790184933adc8cd3383b",
+    ("q8", "gerbe brauer"): "00d5fb12e49c65e011b1c90b305b027101da46768faba532606bb03fefbacf41",
+    ("q8", "gerbe mh"): "8603ceae7b29df94481aac8a29c58be5e487f5c0c5ea2cb956526474ae8d63e4",
+    ("q8", "verify factorization"): "3ab3bd52d7747706061b309b09572322740a9c5311f4c1f5a23834da3b5e04de",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_DIGESTS), ids=lambda k: "-".join(k))
+def test_text_output_bytes(key, tmp_path, capsys):
+    docname, command = key
+    raw = resources.files("gerbes.data").joinpath(f"{docname}_document.json").read_text()
+    path = tmp_path / "doc.json"
+    path.write_text(raw)
+    assert run([*command.split(), str(path), "--output", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[key]
+
+
+def test_cli_import_loads_only_the_pipeline_modules():
+    """Importing the front end loads the modules a document command needs and
+    no more: the selftest, its fixtures, the search and the oracle load only
+    when a command asks for them."""
+    import subprocess
+    import sys
+
+    import gerbes
+
+    src = str(Path(gerbes.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, gerbes.cli; print(*sorted(m for m in sys.modules if m.startswith('gerbes.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = {m.removeprefix("gerbes.") for m in proc.stdout.split()}
+    assert loaded == {
+        "arith", "cli", "cochain", "document", "errors", "finab", "gerbe", "groups", "linalg", "modules",
+    }
 
 
 def test_parser_is_built_once_per_process():
