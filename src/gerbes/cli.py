@@ -29,6 +29,7 @@ from .errors import (
     NotLocallyNeutral,
 )
 from .gerbe import (
+    GerbeExtension,
     brauer_a,
     brauer_manin,
     class_2cocycle,
@@ -104,13 +105,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _task(document: doc.Document, command: str, key: str, cli_value, default=None):
-    if cli_value is not None:
-        return cli_value
-    task = document.tasks.get(command) or {}
-    if key in task:
-        return task[key]
-    return default
+def _task_key(args) -> str:
+    """The ``tasks`` entry a command reads: its action (``gerbe mh`` reads
+    ``mh``), else its name."""
+    return getattr(args, "action", args.command)
+
+
+def _task(args, document: doc.Document, key: str, default=None):
+    """The ``--key`` option, else ``key`` in the command's tasks entry, else ``default``."""
+    value = getattr(args, key)
+    if value is None:
+        value = document.tasks.get(_task_key(args), {}).get(key, default)
+    return value
 
 
 def _only(table: dict[str, Any], kind: str, name: str | None):
@@ -123,37 +129,52 @@ def _only(table: dict[str, Any], kind: str, name: str | None):
     )
 
 
-def _emit(args, payload: dict[str, Any], text_lines: list[str]) -> None:
+def _extension(args, document: doc.Document) -> tuple[str, GerbeExtension]:
+    """The name and the extension a command runs on."""
+    name = _only(document.extensions, "extension", _task(args, document, "extension"))
+    return name, document.extension(name)
+
+
+def _report(
+    args,
+    document: doc.Document,
+    result: dict[str, Any],
+    text_lines: list[str],
+    *,
+    task: dict[str, Any] | None = None,
+    inputs: dict[str, Any] | None = None,
+    model: bool = True,
+) -> None:
+    """Print a document command's output; under ``--quiet`` print nothing.
+
+    ``--output text`` prints ``text_lines``.  ``--output json`` prints the
+    payload of every document command: ``command`` (``gerbe mh``), then
+    ``inputs``, which holds the resolved names (``inputs``, by default the
+    ``task``) and the echoed ``document``, then ``result``.  The echo, built
+    only here, holds the module or extension that ``task`` names, the model
+    when ``model``, and ``task`` as its ``tasks`` entry, so running the
+    command on it again prints the same bytes.
+    """
     if args.quiet:
         return
-    if args.output == "json":
-        sys.stdout.write(doc.canonical_json(payload))
-    else:
+    if args.output == "text":
         for line in text_lines:
             print(line)
-
-
-def _cmd_cohomology(args, document: doc.Document) -> int:
-    name = _only(document.modules, "module", _task(document, "cohomology", "module", args.module))
-    degree = _task(document, "cohomology", "degree", args.degree, 1)
-    module = document.module(name)
-    h = cohomology(module, degree)
-    payload = {
-        "command": "cohomology",
-        "inputs": {
-            "module": name,
-            "degree": degree,
-            "document": doc.echo_document(
-                document, module_names=(name,),
-                tasks={"cohomology": {"module": name, "degree": degree}},
-            ),
-        },
-        "result": doc.cohomology_json(h, args.certificates),
-    }
-    _emit(args, payload, [
-        f"H^{degree}(G, {name}) = {_factors_text(h.factors)}",
-    ])
-    return 0
+        return
+    task = task or {}
+    action = getattr(args, "action", None)
+    echo = doc.echo_document(
+        document,
+        module_names=(task["module"],) if "module" in task else (),
+        extension_names=(task["extension"],) if "extension" in task else (),
+        include_model=model,
+        tasks={_task_key(args): task} if task else None,
+    )
+    sys.stdout.write(doc.canonical_json({
+        "command": f"{args.command} {action}" if action else args.command,
+        "inputs": {**(task if inputs is None else inputs), "document": echo},
+        "result": result,
+    }))
 
 
 def _factors_text(factors: Sequence[int]) -> str:
@@ -162,62 +183,41 @@ def _factors_text(factors: Sequence[int]) -> str:
     return " x ".join(f"Z/{d}" for d in factors)
 
 
+def _cmd_cohomology(args, document: doc.Document) -> int:
+    name = _only(document.modules, "module", _task(args, document, "module"))
+    degree = _task(args, document, "degree", 1)
+    h = cohomology(document.module(name), degree)
+    _report(args, document, doc.cohomology_json(h, args.certificates), [
+        f"H^{degree}(G, {name}) = {_factors_text(h.factors)}",
+    ], task={"module": name, "degree": degree}, model=False)
+    return 0
+
+
 def _cmd_dual(args, document: doc.Document) -> int:
-    name = _only(document.extensions, "extension", _task(document, "dual", "extension", args.extension))
-    ext = document.extension(name)
+    name, ext = _extension(args, document)
     model = document.require_model()
     dd = gerbe_dual(ext, model.mu)
-    payload = {
-        "command": "dual",
-        "inputs": {
-            "extension": name,
-            "mu_modulus": model.modulus,
-            "document": doc.echo_document(
-                document, extension_names=(name,), include_model=True,
-                tasks={"dual": {"extension": name}},
-            ),
-        },
-        "result": doc.module_json(dd.dual, "G"),
-    }
-    _emit(args, payload, [
+    _report(args, document, doc.module_json(dd.dual, "G"), [
         f"Hom(H^ab, mu) = {_factors_text(dd.dual.carrier.factors)} with Galois action",
-    ])
+    ], task={"extension": name}, inputs={"extension": name, "mu_modulus": model.modulus})
     return 0
 
 
 def _cmd_sha(args, document: doc.Document) -> int:
     model = document.require_model()
-    degree = _task(document, "sha", "degree", args.degree, 1)
-    mod_name = _task(document, "sha", "module", args.module)
-    ext_name = _task(document, "sha", "extension", args.extension)
-    if mod_name:
-        module = document.module(mod_name)
-        label = mod_name
+    degree = _task(args, document, "degree", 1)
+    label = _task(args, document, "module")
+    if label:
+        module, task = document.module(label), {"module": label}
     else:
-        ext_name = _only(document.extensions, "extension", ext_name)
-        module = gerbe_dual(document.extension(ext_name), model.mu).dual
+        ext_name, ext = _extension(args, document)
+        module, task = gerbe_dual(ext, model.mu).dual, {"extension": ext_name}
         label = f"dual({ext_name})"
     result = sha(model, module, degree)
-    task = {"module": mod_name, "degree": degree} if mod_name else {"extension": ext_name, "degree": degree}
-    payload = {
-        "command": "sha",
-        "inputs": {
-            "module": label,
-            "degree": degree,
-            "document": doc.echo_document(
-                document,
-                module_names=(mod_name,) if mod_name else (),
-                extension_names=() if mod_name else (ext_name,),
-                include_model=True,
-                tasks={"sha": task},
-            ),
-        },
-        "result": doc.sha_json(result, args.certificates),
-    }
-    _emit(args, payload, [
+    _report(args, document, doc.sha_json(result, args.certificates), [
         f"Sha^{degree}(G, {label}) = {_factors_text(result.factors)} "
         f"inside H^{degree} = {_factors_text(result.ambient.factors)}",
-    ])
+    ], task={**task, "degree": degree}, inputs={"module": label, "degree": degree})
     return 0
 
 
@@ -225,12 +225,7 @@ def _cmd_model(args, document: doc.Document) -> int:
     model = document.require_model()
     if args.action == "check":
         report = check_axioms(model)
-        payload = {
-            "command": "model check",
-            "inputs": {"document": doc.echo_document(document, include_model=True)},
-            "result": doc.axiom_report_json(report),
-        }
-        _emit(args, payload, [f"axioms: {report.summary()}"])
+        _report(args, document, doc.axiom_report_json(report), [f"axioms: {report.summary()}"])
         return 0 if report.passed else 3
     subgroups = [p.subgroup for p in model.places]
     models = search_inv_assignments(
@@ -241,134 +236,69 @@ def _cmd_model(args, document: doc.Document) -> int:
     assignments = [
         [[q.name, [str(v) for v in p.inv]] for q, p in zip(model.places, m.places)] for m in models
     ]
-    payload = {
-        "command": "model search-inv",
-        "inputs": {"document": doc.echo_document(document, include_model=True)},
-        "result": {"count": len(models), "assignments": assignments},
-    }
-    _emit(args, payload, [f"{len(models)} reciprocity-consistent assignments"] + [
-        "  " + "; ".join(f"{name}: {values}" for name, values in a) for a in assignments
+    _report(args, document, {"count": len(models), "assignments": assignments}, [
+        f"{len(models)} reciprocity-consistent assignments",
+        *("  " + "; ".join(f"{name}: {values}" for name, values in a) for a in assignments),
     ])
     return 0
 
 
 def _cmd_gerbe(args, document: doc.Document) -> int:
-    name = _only(document.extensions, "extension", _task(document, args.action, "extension", args.extension))
-    ext = document.extension(name)
+    name, ext = _extension(args, document)
+    task = {"extension": name}
     if args.action == "class":
         cls = class_2cocycle(ext)
         h2 = cohomology(cls.module, 2)
-        coords = h2.reduce(cls.cochain)
-        payload = {
-            "command": "gerbe class",
-            "inputs": {
-                "extension": name,
-                "document": doc.echo_document(
-                    document, extension_names=(name,),
-                    tasks={"class": {"extension": name}},
-                ),
-            },
-            "result": {
-                "kernel_abelianization": list(cls.module.carrier.factors),
-                "h2_factors": list(h2.factors),
-                "class_coords": list(coords),
-                "is_trivial": not any(coords),
-            },
+        coords = list(h2.reduce(cls.cochain))
+        result = {
+            "kernel_abelianization": list(cls.module.carrier.factors),
+            "h2_factors": list(h2.factors),
+            "class_coords": coords,
+            "is_trivial": not any(coords),
         }
         if args.certificates:
-            payload["result"]["cocycle"] = doc.cochain_json(cls.cochain)
-        _emit(args, payload, [
-            f"[{name}] in H^2(G, H^ab) = {_factors_text(h2.factors)}: coordinates {list(coords)}",
-        ])
+            result["cocycle"] = doc.cochain_json(cls.cochain)
+        _report(args, document, result, [
+            f"[{name}] in H^2(G, H^ab) = {_factors_text(h2.factors)}: coordinates {coords}",
+        ], task=task, model=False)
         return 0
     model = document.require_model()
     if args.action == "local-sections":
         secs = local_sections(ext, model)
         missing = [p.name for p in model.places if not secs[p.name]]
-        payload = {
-            "command": "gerbe local-sections",
-            "inputs": {
-                "extension": name,
-                "document": doc.echo_document(
-                    document, extension_names=(name,), include_model=True,
-                    tasks={"local-sections": {"extension": name}},
-                ),
-            },
-            "result": {
-                "counts": {k: len(v) for k, v in secs.items()},
-                "not_locally_neutral": missing,
-            },
-        }
+        result = {"counts": {k: len(v) for k, v in secs.items()}, "not_locally_neutral": missing}
         if args.certificates:
-            payload["result"]["sections"] = {
-                k: [list(s.images) for s in v] for k, v in secs.items()
-            }
-        _emit(args, payload, [
-            f"{p.name}: {len(secs[p.name])} splittings" for p in model.places
-        ] + ([f"NOT locally neutral at: {', '.join(missing)}"] if missing else []))
+            result["sections"] = {k: [list(s.images) for s in v] for k, v in secs.items()}
+        _report(args, document, result, [
+            *(f"{p.name}: {len(secs[p.name])} splittings" for p in model.places),
+            *([f"NOT locally neutral at: {', '.join(missing)}"] if missing else []),
+        ], task=task)
         return 1 if missing else 0
     if args.action == "brauer":
         h1 = brauer_a(ext, model.mu)
-        payload = {
-            "command": "gerbe brauer",
-            "inputs": {
-                "extension": name,
-                "document": doc.echo_document(
-                    document, extension_names=(name,), include_model=True,
-                    tasks={"brauer": {"extension": name}},
-                ),
-            },
-            "result": doc.cohomology_json(h1, args.certificates),
-        }
-        _emit(args, payload, [f"Br_a = H^1(G, Hom(H^ab, mu)) = {_factors_text(h1.factors)}"])
+        _report(args, document, doc.cohomology_json(h1, args.certificates), [
+            f"Br_a = H^1(G, Hom(H^ab, mu)) = {_factors_text(h1.factors)}",
+        ], task=task)
         return 0
     functional = brauer_manin(
         ext, model,
         mu_enlarge_bound=args.mu_enlarge_bound,
         keep_trace=args.certificates,
     )
-    payload = {
-        "command": "gerbe mh",
-        "inputs": {
-            "extension": name,
-            "document": doc.echo_document(
-                document, extension_names=(name,), include_model=True,
-                tasks={"mh": {"extension": name}},
-            ),
-        },
-        "result": doc.functional_json(functional, args.certificates),
-    }
-    lines = [
+    _report(args, document, doc.functional_json(functional, args.certificates), [
         f"Sha^1 domain: {_factors_text(functional.sha.factors)}",
         "m_H values: " + (", ".join(str(v) for v in functional.values) or "(empty functional)"),
-    ]
-    _emit(args, payload, lines)
-    if args.expect_zero and not functional.is_zero():
-        return 1
-    return 0
+    ], task=task)
+    return 1 if args.expect_zero and not functional.is_zero() else 0
 
 
 def _cmd_verify(args, document: doc.Document) -> int:
-    name = _only(document.extensions, "extension", _task(document, "factorization", "extension", args.extension))
-    ext = document.extension(name)
-    model = document.require_model()
-    report = verify_factorization(ext, model, args.mu_enlarge_bound, args.certificates)
-    payload = {
-        "command": "verify factorization",
-        "inputs": {
-            "extension": name,
-            "document": doc.echo_document(
-                document, extension_names=(name,), include_model=True,
-                tasks={"factorization": {"extension": name}},
-            ),
-        },
-        "result": doc.factorization_json(report, args.certificates),
-    }
-    lines = [
+    name, ext = _extension(args, document)
+    report = verify_factorization(ext, document.require_model(), args.mu_enlarge_bound, args.certificates)
+    _report(args, document, doc.factorization_json(report, args.certificates), [
         "factorization holds" if report.equal else "factorization FAILS",
         f"m_H values: {[str(v) for v in report.via_extension.values]}",
-    ]
-    _emit(args, payload, lines)
+    ], task={"extension": name})
     return 0 if report.equal else 1
 
 
@@ -388,25 +318,23 @@ def _cmd_selftest(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+_COMMANDS = {
+    "cohomology": _cmd_cohomology,
+    "dual": _cmd_dual,
+    "sha": _cmd_sha,
+    "model": _cmd_model,
+    "gerbe": _cmd_gerbe,
+    "verify": _cmd_verify,
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "selftest":
             return _cmd_selftest(args)
         document = doc.load_document(args.file, max_group_order=args.max_group_order)
-        if args.command == "cohomology":
-            return _cmd_cohomology(args, document)
-        if args.command == "dual":
-            return _cmd_dual(args, document)
-        if args.command == "sha":
-            return _cmd_sha(args, document)
-        if args.command == "model":
-            return _cmd_model(args, document)
-        if args.command == "gerbe":
-            return _cmd_gerbe(args, document)
-        if args.command == "verify":
-            return _cmd_verify(args, document)
-        raise InputError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, document)
     except ModelAxiomFailure as exc:
         if not args.quiet:
             print(f"model axiom failure: {exc}", file=sys.stderr)

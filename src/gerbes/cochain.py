@@ -70,17 +70,20 @@ _PLAN_SLOT_BOUND = 4_000_000
 # Dense d_n matrices are the one allocation that grows without bound in |G|
 # (|G| = 64, degree 2 would take 7.4 GiB); 1 GiB is far above any shipped use.
 _MATRIX_BYTE_BOUND = 1 << 30
-# The object SNF behind H^n grows faster than cubically in the number of
-# cochain coordinates q^n * rank, its column count, and faster still with
-# the size of the coefficients.  H^2 on a 2-core host:
-#   Z/2:      361 columns 23 s, 441 (C22) 42-45 s, 529 69 s, 625 150 s;
-#   Z/4:      361 columns (C20) 66 s;
-#   Z/4(-1):  225 columns (C16) 11 s, 289 (C18) 33 s, 361 (C20) 160 s,
-#             441 (C22) over 595 s;
-#   Z/8(-1):  225 columns (C16) 27-28 s, 289 (C18) 216-224 s.
-# So the bound is on the columns times the bit length of the carrier
-# exponent: 450 columns over Z/2, 300 over Z/4 and 225 over Z/8, each of
-# which stays within about two minutes.
+# The Smith elimination behind H^n grows faster than cubically in the
+# number of cochain coordinates q^n * rank, its column count, and with the
+# size of the coefficients.  H^2 in process (2-core x86-64, Python 3.11,
+# numpy 2.4, two runs each):
+#   Z/2:      361 columns (C20) 2.2 s, 441 (C22) 3.4-3.7 s, 529 (C24) 11 s;
+#   Z/4(-1):  225 columns (C16) 1.2-1.3 s, 289 (C18) 3.4-3.5 s,
+#             361 (C20) 8.5 s;
+#   Z/8(-1):  225 columns (C16) 2.5 s, 289 (C18) 10 s.
+# The bound is on the columns times the bit length of the carrier
+# exponent: 450 columns over Z/2, 300 over Z/4 and 225 over Z/8.  It was
+# set when the elimination carried unbounded Python-int transforms, and
+# each admitted case then took up to about a minute (33 s at C18 over
+# Z/4(-1), 42-45 s at C22 over Z/2); each now takes under 4 s, and the
+# first refused cases (the last of each row) about 10 s.
 _KERNEL_COLUMN_BOUND = 900
 
 
@@ -686,14 +689,17 @@ class CohomologyGroup:
     def cochain_from_coords(self, coords: Sequence[int]) -> Cochain:
         """sum_i coords_i rep_i, as one product with the stacked representatives.
 
-        Each term is reduced before the sum, so every entry stays below e**2
-        for the exponent e, inside int64 by GModule's bound.
+        ``coords`` has one entry per invariant factor.  Each term is reduced
+        before the sum, so every entry stays below e**2 for the exponent e,
+        inside int64 by GModule's bound.
         """
-        reps = self.representatives[: len(coords)]
-        if not reps:
+        if len(coords) != len(self.factors):
+            raise InputError(f"H^{self.degree} has {len(self.factors)} coordinates, got {len(coords)}")
+        if not coords:
             return self.zero_cochain()
-        c = np.asarray([int(x) % self.module.carrier.exponent for x in coords[: len(reps)]])
-        terms = c[:, None, None] * np.stack([rep.array for rep in reps]) % np.asarray(self.module.carrier.factors)
+        c = np.asarray([int(x) % self.module.carrier.exponent for x in coords])
+        reps = np.stack([rep.array for rep in self.representatives])
+        terms = c[:, None, None] * reps % np.asarray(self.module.carrier.factors)
         return Cochain(self.module, self.degree, terms.sum(axis=0))
 
     def __repr__(self) -> str:

@@ -60,7 +60,6 @@ class Document:
     extensions: dict[str, GerbeExtension]
     model: ArithmeticModel | None
     tasks: dict[str, Any]
-    raw: dict[str, Any]
 
     def group(self, name: str) -> FiniteGroup:
         return _lookup(self.groups, name, "group")
@@ -140,7 +139,7 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
                 raise InputError(f"task {command!r}: {key!r} must be a string")
         if "degree" in task:
             _integer(task["degree"], f"task {command!r} degree")
-    return Document(groups, modules, extensions, model, tasks, raw)
+    return Document(groups, modules, extensions, model, tasks)
 
 
 def _integer(value: Any, field: str) -> int:

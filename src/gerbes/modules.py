@@ -57,6 +57,8 @@ class GModule:
         elif isinstance(action, Mapping):
             mats = [ident] * group.order
             for key, mat in action.items():
+                if not 0 <= int(key) < group.order:
+                    raise InputError(f"action key {key!r} is not an element of a group of order {group.order}")
                 mats[int(key)] = _freeze_matrix(mat, carrier.factors)
         else:
             if len(action) != group.order:

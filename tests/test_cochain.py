@@ -191,6 +191,22 @@ def test_representatives_reduce_to_basis():
         assert h.reduce(rep) == want
 
 
+def test_cochain_from_coords_takes_one_coordinate_per_factor():
+    """H^2(C4, Z/4(-1)) = Z/2: a coordinate list of any other length is
+    refused, not padded or truncated."""
+    c4 = cyclic_group(4)
+    h2 = cohomology(cyclic_module(c4, 4, {1: 3, 3: 3}), 2)
+    assert h2.factors == (2,)
+    assert h2.reduce(h2.cochain_from_coords([1])) == (1,)
+    for coords in ([], [1, 1, 1]):
+        with pytest.raises(InputError, match=f"H\\^2 has 1 coordinates, got {len(coords)}"):
+            h2.cochain_from_coords(coords)
+    zero = cohomology(trivial_module(c4, (3,)), 2)
+    assert zero.factors == () and zero.cochain_from_coords([]).is_zero()
+    with pytest.raises(InputError):
+        zero.cochain_from_coords([1])
+
+
 def test_restriction_examples():
     z4 = cyclic_group(4)
     m = trivial_module(z4, (2,))

@@ -35,6 +35,17 @@ def test_gmodule_validation():
         GModule(z2, FinAb((2, 4)), {1: [[1, 1], [1, 1]]})  # ill-defined endo
 
 
+def test_action_keys_outside_the_group_are_refused():
+    """A mapping key names a group element: -1 does not alias the last
+    element, and |G| or more is an input error, not an IndexError."""
+    z2 = cyclic_group(2)
+    for key in (-1, 2, 7):
+        with pytest.raises(InputError, match=f"action key {key} is not an element of a group of order 2"):
+            GModule(z2, FinAb((4,)), {key: [[3]]})
+    with pytest.raises(InputError, match="action key 7"):
+        cyclic_module(z2, 4, {7: 3})
+
+
 def test_cyclic_module_character():
     z4 = cyclic_group(4)
     m = cyclic_module(z4, 8, {1: 7, 2: 1, 3: 7})
