@@ -79,11 +79,9 @@ _MATRIX_BYTE_BOUND = 1 << 30
 #             361 (C20) 8.5 s;
 #   Z/8(-1):  225 columns (C16) 2.5 s, 289 (C18) 10 s.
 # The bound is on the columns times the bit length of the carrier
-# exponent: 450 columns over Z/2, 300 over Z/4 and 225 over Z/8.  It was
-# set when the elimination carried unbounded Python-int transforms, and
-# each admitted case then took up to about a minute (33 s at C18 over
-# Z/4(-1), 42-45 s at C22 over Z/2); each now takes under 4 s, and the
-# first refused cases (the last of each row) about 10 s.
+# exponent: 450 columns over Z/2, 300 over Z/4 and 225 over Z/8.  It
+# admits each case above that takes under 4 s and refuses the last of
+# each row, which takes about 10 s.
 _KERNEL_COLUMN_BOUND = 900
 
 

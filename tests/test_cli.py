@@ -487,7 +487,8 @@ def test_json_certificate_output_bytes(key, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[key]
 
 
-# SHA-256 of stdout for `COMMAND DOC --output text` on the shipped documents.
+# SHA-256 of stdout for `COMMAND DOC --output text` on the shipped documents;
+# change one only with a deliberate change of the text.
 TEXT_DIGESTS = {
     ("witness", "cohomology"): "6be44784fe76017a922877fcaea59654cb94006c020dab7fcb0c00f677449b16",
     ("witness", "dual"): "59acc6d0258882ba4f3b460b9d3bc5782d913bd175bd2931aebcc1cbeffeda44",
