@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gerbes.errors import InputError, NonCyclicCoefficients, NonEquivariantPairing
+from gerbes.errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing
 from gerbes.finab import FinAb
 from gerbes.groups import (
     Subgroup,
@@ -185,3 +185,98 @@ def test_evaluation_pairing_values():
     # the generator pairs the H^ab generator to an order-2 value of mu.
     val = pair.apply((1,), dd.source.carrier.basis_vector(dd.kept[0]))
     assert val == (2,)
+
+
+_SWAP, _ID2 = [[0, 1], [1, 0]], [[1, 0], [0, 1]]
+_Z2, _Z3, _V4 = cyclic_group(2), cyclic_group(3), klein_four_group()
+
+
+def _v4_swaps(first):
+    """V4 on (Z/2)^2: element ``first`` and 3 swap the coordinates."""
+    return GModule(_V4, FinAb((2, 2)), {first: _SWAP, 3 - first: _ID2, 3: _SWAP})
+
+
+# (label, construction, exception type, exact message).  Where several
+# entries fail, the first in (g, i, j) order is named; the homomorphism law
+# runs over generators h of ``FiniteGroup.tree`` and then over g, and
+# equivariance over generators g and then (i, j).
+_VALIDATION_FAILURES = [
+    ("matrix-size", lambda: GModule(_Z2, FinAb((4,)), {1: [[3, 0]]}),
+     InputError, "action matrix must be 1x1"),
+    ("matrix-row-size", lambda: GModule(_Z2, FinAb((2, 4)), {1: [[1, 0], [0]]}),
+     InputError, "action matrix must be 2x2"),
+    ("matrix-count-short", lambda: GModule(_Z2, FinAb((4,)), [[[1]]]),
+     InputError, "action must give one matrix per group element"),
+    ("matrix-count-long", lambda: GModule(_Z2, FinAb((4,)), [[[1]], [[3]], [[1]]]),
+     InputError, "action must give one matrix per group element"),
+    ("key-range", lambda: GModule(_Z2, FinAb((4,)), {2: [[3]]}),
+     InputError, "action key 2 is not an element of a group of order 2"),
+    ("endomorphism-first-g", lambda: GModule(
+        _Z3, FinAb((2, 4, 8)),
+        {1: [[1, 0, 0], [0, 1, 0], [0, 1, 1]], 2: [[1, 0, 0], [1, 1, 0], [1, 0, 1]]}),
+     InputError, "action(1) entry (2,1) does not define an endomorphism"),
+    ("endomorphism-first-ij", lambda: GModule(
+        _Z3, FinAb((2, 4, 8)),
+        {1: [[1, 0, 0], [0, 1, 0], [1, 1, 1]], 2: [[1, 0, 0], [1, 1, 0], [1, 0, 1]]}),
+     InputError, "action(1) entry (2,0) does not define an endomorphism"),
+    ("identity", lambda: GModule(_Z2, FinAb((4,)), {0: [[3]]}),
+     InputError, "action of the identity is not the identity map"),
+    ("law-square", lambda: GModule(_Z2, FinAb((2, 2)), [_ID2, [[1, 1], [1, 1]]]),
+     InputError, "action is not a homomorphism: action(1)action(1) != action(1*1)"),
+    ("law-second-generator", lambda: cyclic_module(_V4, 5, {1: 4, 2: 2, 3: 3}),
+     InputError, "action is not a homomorphism: action(2)action(2) != action(2*2)"),
+    ("law-generator-before-element", lambda: cyclic_module(_V4, 3, {1: 1, 2: 2, 3: 1}),
+     InputError, "action is not a homomorphism: action(2)action(1) != action(2*1)"),
+    ("pairing-groups", lambda: Pairing(
+        cyclic_module(_Z3, 4), cyclic_module(_Z2, 4),
+        cyclic_module(_Z2, 4), [[(1,)]]),
+     InputError, "pairing modules must share one acting group"),
+    ("pairing-rows", lambda: Pairing(*[cyclic_module(_Z2, 4)] * 3, [[(1,)], [(1,)]]),
+     InputError, "pairing table shape does not match module ranks"),
+    ("pairing-columns", lambda: Pairing(*[cyclic_module(_Z2, 4)] * 3, [[(1,), (1,)]]),
+     InputError, "pairing table shape does not match module ranks"),
+    ("pairing-ragged", lambda: Pairing(
+        trivial_module(_Z2, (2, 4)), trivial_module(_Z2, (2, 4)),
+        cyclic_module(_Z2, 4), [[(1,), (1,)], [(1,)]]),
+     InputError, "pairing table shape does not match module ranks"),
+    ("pairing-vector-long", lambda: Pairing(*[cyclic_module(_Z2, 4)] * 3, [[(1, 2)]]),
+     InputError, "vector length 2 != rank 1"),
+    ("pairing-vector-empty", lambda: Pairing(*[cyclic_module(_Z2, 4)] * 3, [[()]]),
+     InputError, "vector length 0 != rank 1"),
+    ("pairing-vector-first", lambda: Pairing(
+        trivial_module(_Z2, (2, 4)), trivial_module(_Z2, (2, 4)),
+        cyclic_module(_Z2, 4), [[(1,), (1, 2, 3)], [(1, 2), (1,)]]),
+     InputError, "vector length 3 != rank 1"),
+    ("pairing-order", lambda: Pairing(*[cyclic_module(_Z2, 4)] * 2, cyclic_module(_Z2, 8), [[(1,)]]),
+     InputError, "pairing value at (0,0) has incompatible order"),
+    ("pairing-order-first-ij", lambda: Pairing(
+        trivial_module(_Z2, (2, 4)), trivial_module(_Z2, (2, 4)),
+        cyclic_module(_Z2, 4), [[(0,), (1,)], [(1,), (0,)]]),
+     InputError, "pairing value at (0,1) has incompatible order"),
+    ("pairing-order-second-row", lambda: Pairing(
+        trivial_module(_Z2, (2, 4)), trivial_module(_Z2, (2, 4)),
+        cyclic_module(_Z2, 4), [[(0,), (0,)], [(1,), (1,)]]),
+     InputError, "pairing value at (1,0) has incompatible order"),
+    ("equivariance", lambda: Pairing(
+        cyclic_module(_Z2, 4, {1: 3}), cyclic_module(_Z2, 4),
+        cyclic_module(_Z2, 4), [[(1,)]]),
+     NonEquivariantPairing, "pair(g.e_0, g.e_0) != g.pair(e_0, e_0) for g=1"),
+    ("equivariance-first-generator", lambda: Pairing(
+        _v4_swaps(1), _v4_swaps(2), trivial_module(_V4, (2,)), [[(0,), (1,)], [(0,), (0,)]]),
+     NonEquivariantPairing, "pair(g.e_0, g.e_1) != g.pair(e_0, e_1) for g=1"),
+    ("equivariance-first-ij", lambda: Pairing(
+        _v4_swaps(1), _v4_swaps(2), trivial_module(_V4, (2,)), [[(0,), (0,)], [(0,), (1,)]]),
+     NonEquivariantPairing, "pair(g.e_0, g.e_1) != g.pair(e_0, e_1) for g=1"),
+    ("equivariance-second-generator", lambda: Pairing(
+        _v4_swaps(1), _v4_swaps(2), trivial_module(_V4, (2,)), [[(0,), (1,)], [(0,), (1,)]]),
+     NonEquivariantPairing, "pair(g.e_0, g.e_0) != g.pair(e_0, e_0) for g=2"),
+]
+
+
+@pytest.mark.parametrize("build, kind, message", [c[1:] for c in _VALIDATION_FAILURES],
+                         ids=[c[0] for c in _VALIDATION_FAILURES])
+def test_validation_failures_name_the_first_failing_element(build, kind, message):
+    with pytest.raises(GerbesError) as info:
+        build()
+    assert type(info.value) is kind
+    assert str(info.value) == message
