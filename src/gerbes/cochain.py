@@ -269,11 +269,6 @@ def _plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
     return memo(module, (degree, rows), _diff_plan, module, degree, rows)
 
 
-def _action(module: GModule) -> np.ndarray:
-    """The action matrices as one (|G|, rank, rank) int64 array."""
-    return np.asarray(module.action, dtype=np.int64).reshape(module.group.order, module.rank, module.rank)
-
-
 def _apply_d(module: GModule, degree: int, rows: str, x: np.ndarray) -> np.ndarray:
     """d_degree applied exactly, without reduction, to a batch of cochains.
 
@@ -284,9 +279,8 @@ def _apply_d(module: GModule, degree: int, rows: str, x: np.ndarray) -> np.ndarr
     int64 by GModule's bound k e^2 < 2^62.
     """
     plan = _plan(module, degree, rows)
-    acting = memo(module, None, _action, module)
     first, rest = np.divmod(plan.slots, len(x))
-    out = np.einsum("sij,sjb->sib", acting[1:][first], x[rest])
+    out = np.einsum("sij,sjb->sib", module.action[1:][first], x[rest])
     padded = np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=np.int64)])
     for sign, idx in (*plan.middle, (plan.last_sign, plan.last_idx)):
         if sign > 0:
@@ -349,7 +343,8 @@ def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
     if not pairing.left.compatible_with(a.module) or not pairing.right.compatible_with(b.module):
         raise InputError("cup arguments do not match the pairing's modules")
     group = pairing.left.group
-    act, pair = pairing.right.apply, pairing.apply
+    action, table = pairing.right.action.tolist(), pairing.table.tolist()
+    d_right, d_target = pairing.right.carrier.factors, pairing.target.carrier.factors
     b_rows = b.array.tolist()
     vals = []
     # Slots are lexicographic, so the head (g_1..g_p) runs over a's slots in
@@ -359,7 +354,16 @@ def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
         prefix = 0
         for g in head:
             prefix = group.table[prefix][g]
-        vals.extend(pair(a_row, act(prefix, b_row)) for b_row in b_rows)
+        mat = action[prefix]
+        for b_row in b_rows:
+            moved = [sum(m * x for m, x in zip(row, b_row)) % d for row, d in zip(mat, d_right)]
+            out = [0] * len(d_target)
+            for ai, t_row in zip(a_row, table):
+                if ai:
+                    for bj, value in zip(moved, t_row):
+                        if bj:
+                            out = [(o + ai * bj * v) % d for o, v, d in zip(out, value, d_target)]
+            vals.append(out)
     return Cochain(pairing.target, p + q_deg, vals)
 
 
@@ -480,7 +484,6 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
     batch = v.shape[-1]
     if degree == 0:
         return v.reshape(1, k, batch) % e
-    acting = memo(module, None, _action, module)
     # Indexed by group elements: the identity's entries stay 0, as in a
     # normalized cochain.
     c = np.zeros((q + 1,) * degree + (k, batch), dtype=np.int64)
@@ -489,7 +492,7 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
         ys = None if y is None else y.reshape(q, q, k, 1)
         for target, x, i in steps[len(gens):]:
             s = gens[i]
-            step = acting[x] @ c[s] + c[x]
+            step = module.action[x] @ c[s] + c[x]
             c[target] = (step if ys is None else step - ys[x - 1, s - 1]) % e
         return c[1:]
     c[1:, gens] = v.reshape(q, len(gens), k, batch)
@@ -497,7 +500,7 @@ def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = No
     ys = None if y is None else y.reshape(q, q, q, k, 1)
     for target, x, i in steps[len(gens):]:
         s = gens[i]
-        step = c[1:, x] + c[table[1:, x], s] - acting[1:] @ c[x, s]
+        step = c[1:, x] + c[table[1:, x], s] - module.action[1:] @ c[x, s]
         c[1:, target] = (step if ys is None else step + ys[:, x - 1, s - 1]) % e
     return c[1:, 1:].reshape(q * q, k, batch)
 

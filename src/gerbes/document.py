@@ -39,6 +39,8 @@ from itertools import chain
 from math import gcd
 from typing import Any, Callable
 
+import numpy as np
+
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
 from .cochain import Cochain, CohomologyGroup
 from .errors import InputError, SizeBound
@@ -266,13 +268,17 @@ def canonical_json(obj: Any) -> str:
     refuses raises the standard encoder's exception.  With ``indent`` set
     the standard library encodes in pure Python; ``_write`` appends the
     pieces to one list instead, joined once, and fills a list of exact
-    ints, or a rectangular list of such lists, into one template.
+    ints, or a rectangular list of such lists, into one template.  It
+    knows only what payloads hold (str, int, bool, None, lists, tuples and
+    str-keyed dicts) and hands any other tree to the standard encoder.
     """
     parts: list[str] = []
     try:
         _write(obj, "\n", parts.append)
-    except RecursionError:
-        # Circular containers raise ValueError there, too-deep ones RecursionError.
+    except (TypeError, RecursionError):
+        # A float, a non-string key or a foreign object raises TypeError in
+        # ``_write``; circular containers raise ValueError in the standard
+        # encoder, too-deep ones RecursionError.
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     parts.append("\n")
     return "".join(parts)
@@ -281,36 +287,7 @@ def canonical_json(obj: Any) -> str:
 _INDENT = "  "
 _intstr = int.__repr__
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 _LIST = {list}
-
-
-def _floatstr(x: float) -> str:
-    """The standard encoder's spelling of a float, NaN and infinities included."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key(key: Any) -> str:
-    """An object key as the standard encoder converts it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _floatstr(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return _intstr(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
@@ -318,9 +295,10 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
     in pieces; ``nl`` is the newline and indentation of the line ``o`` is on.
 
     Dispatch follows ``json.encoder._make_iterencode``: str, None, True,
-    False, int, float, list or tuple, dict.  Only the fast paths test exact
-    types (a bool is not an exact int), so subclasses take the general
-    path, as there.
+    False, int, list or tuple, dict.  Only the fast paths test exact types
+    (a bool is not an exact int), so subclasses take the general path, as
+    there.  Anything else, a float or a key that is not a str included,
+    raises TypeError.
     """
     if isinstance(o, str):
         out(_encode_str(o))
@@ -332,8 +310,6 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
         out("false")
     elif isinstance(o, int):
         out(_intstr(o))
-    elif isinstance(o, float):
-        out(_floatstr(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             out("[]")
@@ -369,7 +345,9 @@ def _write(o: Any, nl: str, out: Callable[[str], None]) -> None:
         inner = nl + _INDENT
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            out(f"{sep}{_encode_str(k if type(k) is str else _key(k))}: ")
+            if not isinstance(k, str):
+                raise TypeError(f"key {k!r} is not a str")
+            out(f"{sep}{_encode_str(k)}: ")
             sep = "," + inner
             _write(v, inner, out)
         out(nl + "}")
@@ -382,26 +360,16 @@ def group_json(group: FiniteGroup) -> dict[str, Any]:
 
 
 def module_json(module: GModule, group_name: str) -> dict[str, Any]:
-    k = module.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    action = {
-        str(g): [list(r) for r in module.matrix(g)]
-        for g in range(module.group.order)
-        if module.matrix(g) != ident
-    }
+    moved = (module.action != np.eye(module.rank, dtype=np.int64)).any(axis=(1, 2))
     return {
         "group": group_name,
         "factors": list(module.carrier.factors),
-        "action": action,
+        "action": {str(g): module.action[g].tolist() for g in np.flatnonzero(moved).tolist()},
     }
 
 
 def model_json(model: ArithmeticModel, group_name: str = "G") -> dict[str, Any]:
-    character = {
-        str(g): model.mu.matrix(g)[0][0]
-        for g in range(model.group.order)
-        if model.mu.matrix(g)[0][0] != 1
-    }
+    character = {str(g): u for g, u in enumerate(model.mu.action[:, 0, 0].tolist()) if u != 1}
     return {
         "group": group_name,
         "mu": {"modulus": model.modulus, "character": character},

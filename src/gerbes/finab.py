@@ -44,19 +44,8 @@ class FinAb:
     def exponent(self) -> int:
         return self.factors[-1] if self.factors else 1
 
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.rank:
-            raise InputError(f"vector length {len(vec)} != rank {self.rank}")
-        return tuple(int(v) % d for v, d in zip(vec, self.factors))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
-
-    def scale(self, n: int, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((n * x) % d for x, d in zip(a, self.factors))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.factors))

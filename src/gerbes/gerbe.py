@@ -233,11 +233,14 @@ def extension_from_cocycle(z: Cochain) -> GerbeExtension:
     if not is_cocycle(z):
         raise GerbesError("extension construction needs a cocycle")
     module = z.module
-    index = {m: i for i, m in enumerate(module.carrier.elements())}
+    d = module.carrier.factors
+    # The index of an element in ``FinAb.elements`` order, last coordinate fastest.
+    radix = np.array([prod(d[i + 1 :]) for i in range(len(d))], dtype=np.int64)
+    elements = np.array(list(module.carrier.elements()), dtype=np.int64)
     n = module.group.order
-    action = [[index[module.apply(g, m)] for m in index] for g in range(n)]
+    action = (elements @ module.action.transpose(0, 2, 1) % np.asarray(d, dtype=np.int64) @ radix).tolist()
     # z(g1, g2) is row (g1 - 1)(n - 1) + g2 - 1, and 0 (element 0) when g1 or g2 is 1.
-    slot = [index[tuple(v)] for v in z.array.tolist()]
+    slot = (z.array @ radix).tolist()
     factor = [[slot[(g1 - 1) * (n - 1) + g2 - 1] if g1 and g2 else 0 for g2 in range(n)] for g1 in range(n)]
     kernel = abelian_table_group(module.carrier)
     return _crossed_product(kernel, module.group, action, factor, f"E({module.name or 'M'})")
@@ -550,7 +553,7 @@ def _enlarged_models(model: ArithmeticModel, t: int) -> list[ArithmeticModel]:
     """
     m = model.modulus
     mt = m * t
-    old_char = [model.mu.matrix(g)[0][0] % m for g in range(model.group.order)]
+    old_char = model.mu.action[:, 0, 0].tolist()
     out = []
     for chars in _character_lifts(model.group, m, t, old_char):
         try:

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing, SizeBound
 from .finab import FinAb
 from .groups import Abelianization, FiniteGroup, Subgroup, abelianization, memo
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 # The int64 arithmetic of ``cochain`` and ``linalg`` works on entries
 # reduced below the exponent e: ``linalg.howell_reduce_rows`` forms
@@ -21,20 +22,45 @@ EXPONENT_BOUND = 1 << 30
 PRODUCT_SUM_BOUND = 1 << 62
 
 
-def _freeze_matrix(m: Sequence[Sequence[int]], factors: Sequence[int]) -> IntMatrix:
-    k = len(factors)
-    if len(m) != k or any(len(row) != k for row in m):
-        raise InputError(f"action matrix must be {k}x{k}")
-    return tuple(tuple(int(x) % d for x in row) for row, d in zip(m, factors))
+def _residues(values, shape: tuple[int, ...], moduli: Sequence, what: str) -> np.ndarray | None:
+    """``values`` as a read-only int64 array of ``shape`` reduced mod ``moduli``
+    (broadcast against it), or None when ``values`` does not have ``shape``.
+
+    Integers of any size reduce exactly, as Python ints in an object array;
+    a float, a bool or any other entry raises InputError, so nothing is
+    truncated.  An int64 array passes without a scan.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        raw = values
+    else:
+        try:
+            raw = np.array(values, dtype=object)
+        except ValueError:  # sub-arrays of different shapes
+            return None
+    if raw.shape != shape:
+        # Empty lists lose their trailing axes.
+        if raw.size or raw.shape != shape[: raw.ndim]:
+            return None
+        raw = raw.reshape(shape)
+    if raw.dtype == np.int64:
+        out = raw % np.asarray(moduli, dtype=np.int64)
+    else:
+        for x in raw.flat:
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise InputError(f"{what} must be integers, got {x!r}")
+        out = (raw % np.asarray(moduli, dtype=object)).astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class GModule:
     """A finite abelian group with an action of ``group`` by automorphisms.
 
-    ``action[g]`` is an integer matrix applied to column vectors of carrier
-    coordinates, with row i reduced mod d_i.  Construction checks that every
-    matrix is a well-defined endomorphism and that g -> action(g) is a
-    homomorphism with action(0) = 1, so action(g^-1) inverts action(g).
+    ``action`` is a read-only (|G|, rank, rank) int64 array: ``action[g]``
+    acts on column vectors of carrier coordinates, with row i reduced mod
+    d_i.  Construction checks that every matrix is a well-defined
+    endomorphism and that g -> action(g) is a homomorphism with
+    action(0) = 1, so action(g^-1) inverts action(g).
     """
 
     def __init__(
@@ -47,64 +73,47 @@ class GModule:
         self.group = group
         self.carrier = carrier
         self.name = name
-        k, e = carrier.rank, carrier.exponent
+        n, k, e = group.order, carrier.rank, carrier.exponent
         if e >= EXPONENT_BOUND or k * e * e >= PRODUCT_SUM_BOUND:
             raise SizeBound(f"carrier {list(carrier.factors)} is past the int64 cochain bounds")
-        ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        mats: list[IntMatrix]
-        if action is None:
-            mats = [ident] * group.order
-        elif isinstance(action, Mapping):
-            mats = [ident] * group.order
-            for key, mat in action.items():
-                if not 0 <= int(key) < group.order:
-                    raise InputError(f"action key {key!r} is not an element of a group of order {group.order}")
-                mats[int(key)] = _freeze_matrix(mat, carrier.factors)
-        else:
-            if len(action) != group.order:
-                raise InputError("action must give one matrix per group element")
-            mats = [_freeze_matrix(m, carrier.factors) for m in action]
-        self.action: tuple[IntMatrix, ...] = tuple(mats)
+        if action is None or isinstance(action, Mapping):
+            mats: list = [np.eye(k, dtype=np.int64).tolist()] * n
+            for key, mat in (action or {}).items():
+                if (type(key) is not int and not isinstance(key, np.integer)) or not 0 <= key < n:
+                    raise InputError(f"action key {key!r} is not an element of a group of order {n}")
+                mats[key] = mat
+            action = mats
+        if len(action) != n:
+            raise InputError("action must give one matrix per group element")
+        given = _residues(action, (n, k, k), [(d,) for d in carrier.factors], "action entries")
+        if given is None:
+            raise InputError(f"action matrix must be {k}x{k}")
+        self.action: np.ndarray = given
         self._validate()
         self._memo: dict = {}
 
     def _validate(self) -> None:
-        k = self.carrier.rank
-        d = self.carrier.factors
-        for g, mat in enumerate(self.action):
-            for i in range(k):
-                for j in range(k):
-                    need = d[i] // gcd(d[i], d[j])
-                    if mat[i][j] % need:
-                        raise InputError(
-                            f"action({g}) entry ({i},{j}) does not define an endomorphism"
-                        )
-        basis = [self.carrier.basis_vector(i) for i in range(k)]
-        if any(self.apply(0, v) != v for v in basis):
+        act = self.action
+        d = np.asarray(self.carrier.factors, dtype=np.int64)[:, None]
+        bad = np.argwhere(act % (d // np.gcd(d, d.T)))
+        if len(bad):
+            g, i, j = bad[0]
+            raise InputError(f"action({g}) entry ({i},{j}) does not define an endomorphism")
+        if (act[0] != np.eye(self.rank, dtype=np.int64)).any():
             raise InputError("action of the identity is not the identity map")
         # The lemma of ``FiniteGroup.tree`` with the trivial action.
         for h in self.group.tree[0]:
-            images = [self.apply(h, v) for v in basis]
-            for g, row in enumerate(self.group.table):
-                if any(self.apply(g, hv) != self.apply(row[h], v) for hv, v in zip(images, basis)):
-                    raise InputError(
-                        f"action is not a homomorphism: action({g})action({h}) != action({g}*{h})"
-                    )
+            products = act @ act[h] % d
+            wrong = (products != act[[row[h] for row in self.group.table]]).any(axis=(1, 2))
+            if wrong.any():
+                g = wrong.argmax()
+                raise InputError(
+                    f"action is not a homomorphism: action({g})action({h}) != action({g}*{h})"
+                )
 
     @property
     def rank(self) -> int:
         return self.carrier.rank
-
-    def matrix(self, g: int) -> IntMatrix:
-        return self.action[g]
-
-    def apply(self, g: int, vec: Sequence[int]) -> tuple[int, ...]:
-        mat = self.action[g]
-        d = self.carrier.factors
-        return tuple(
-            sum(mat[i][j] * vec[j] for j in range(len(vec))) % d[i]
-            for i in range(len(d))
-        )
 
     def compatible_with(self, other: GModule) -> bool:
         """Same group object, same carrier, same action matrices."""
@@ -113,18 +122,13 @@ class GModule:
             or (
                 other.group is self.group
                 and other.carrier == self.carrier
-                and other.action == self.action
+                and np.array_equal(other.action, self.action)
             )
         )
 
     @property
     def is_trivial_action(self) -> bool:
-        k = self.rank
-        return all(
-            self.apply(g, self.carrier.basis_vector(i)) == self.carrier.basis_vector(i)
-            for g in range(self.group.order)
-            for i in range(k)
-        )
+        return bool((self.action == np.eye(self.rank, dtype=np.int64)).all())
 
     @property
     def is_cyclic(self) -> bool:
@@ -153,12 +157,14 @@ def cyclic_module(
         raise InputError("cyclic module modulus must be >= 2")
     action = None
     if character:
-        action = {}
-        for g, u in character.items():
-            u = int(u) % modulus
+        reduced = _residues(list(character.values()), (len(character),), [modulus], "character values")
+        if reduced is None:
+            raise InputError("character values must be integers")
+        units = reduced.tolist()
+        for u in units:
             if gcd(u, modulus) != 1:
                 raise InputError(f"character value {u} is not a unit mod {modulus}")
-            action[int(g)] = [[u]]
+        action = {g: [[u]] for g, u in zip(character, units)}
     return GModule(group, FinAb((modulus,)), action, name=name or f"Z/{modulus}")
 
 
@@ -175,8 +181,7 @@ def restrict_module(module: GModule, sub: Subgroup) -> GModule:
 
 def _restricted_module(module: GModule, sub: Subgroup) -> GModule:
     group, embed = sub.as_group()
-    action = [module.action[e] for e in embed]
-    return GModule(group, module.carrier, action, name=f"{module.name or 'M'}|D")
+    return GModule(group, module.carrier, module.action[list(embed)], name=f"{module.name or 'M'}|D")
 
 
 @dataclass(frozen=True)
@@ -194,14 +199,6 @@ class DualData:
     abelianized: Abelianization
     kept: tuple[int, ...]
     scales: tuple[int, ...]
-
-    def hom_value(self, f: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
-        """Evaluate the hom with coordinates ``f`` on the H^ab element ``x``."""
-        m = self.mu.carrier.factors[0]
-        total = 0
-        for i, (idx, sc) in enumerate(zip(self.kept, self.scales)):
-            total += f[i] * sc * x[idx]
-        return (total % m,)
 
 
 def induced_action_on_abelianization(
@@ -266,25 +263,15 @@ def dual_module(
     scales = tuple(m // gcds[i] for i in kept)
     carrier = FinAb(factors)
 
-    rank = len(kept)
-    mats = []
-    for g in range(g_group.order):
-        ginv = g_group.inv[g]
-        chi = mu.matrix(g)[0][0] if mu.rank else 1
-        p_inv = source.matrix(ginv)
-        cols = []
-        for i in range(rank):
-            # Image of the i-th dual generator evaluated on each kept basis
-            # vector of H^ab, then rewritten in dual coordinates.
-            col = []
-            for j in range(rank):
-                # (g.psi_i)(e_{kept[j]}) = chi * psi_i(P_{g^-1} e_{kept[j]})
-                val = chi * scales[i] * p_inv[kept[i]][kept[j]] % m
-                if val % scales[j]:
-                    raise GerbesError("dual action does not preserve hom orders")
-                col.append(val // scales[j] % factors[j])
-            cols.append(col)
-        mats.append([[cols[i][j] for i in range(rank)] for j in range(rank)])
+    # (g.psi_i)(e_{kept[j]}) = chi(g) psi_i(P_{g^-1} e_{kept[j]}), rewritten
+    # in dual coordinates: entry (j, i) of the matrix of g.  Both products
+    # stay below m * e, inside int64.
+    p_inv = source.action[np.ix_(g_group.inv, kept, kept)]
+    sc = np.asarray(scales, dtype=np.int64)
+    val = mu.action * sc[:, None] % m * p_inv % m
+    if (val % sc).any():
+        raise GerbesError("dual action does not preserve hom orders")
+    mats = (val // sc % np.asarray(factors, dtype=np.int64)).transpose(0, 2, 1)
     dual = GModule(g_group, carrier, mats, name=f"dual({h_group.name or 'H'})")
     return DualData(dual, source, mu, ab, kept, scales)
 
@@ -292,9 +279,10 @@ def dual_module(
 class Pairing:
     """A G-equivariant bilinear map left x right -> target on one group.
 
-    The table gives the value on each pair of basis vectors, and both
-    well-definedness (orders) and equivariance are validated exactly at
-    construction, on basis vectors and group generators.
+    ``table`` is a read-only (left rank, right rank, target rank) int64
+    array: the value on each pair of basis vectors, reduced mod the target
+    factors.  Both well-definedness (orders) and equivariance are validated
+    exactly at construction, on basis vectors and group generators.
     """
 
     def __init__(
@@ -309,46 +297,45 @@ class Pairing:
             raise InputError("pairing modules must share one acting group")
         self.left, self.right, self.target = left, right, target
         self.name = name
-        kl, kr = left.rank, right.rank
-        if len(table) != kl or any(len(row) != kr for row in table):
+        kl, kr, kt = left.rank, right.rank, target.rank
+        values = _residues(table, (kl, kr, kt), target.carrier.factors, "pairing table entries")
+        if values is None:
+            if len(table) == kl and all(len(row) == kr for row in table):
+                for v in chain.from_iterable(table):
+                    if len(v) != kt:
+                        raise InputError(f"vector length {len(v)} != rank {kt}")
             raise InputError("pairing table shape does not match module ranks")
-        self.table: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(target.carrier.reduce(v) for v in row) for row in table
-        )
+        self.table: np.ndarray = values
         self._validate()
 
     def _validate(self) -> None:
-        tgt = self.target.carrier
-        for i, di in enumerate(self.left.carrier.factors):
-            for j, dj in enumerate(self.right.carrier.factors):
-                v = self.table[i][j]
-                if tgt.scale(di, v) != tgt.zero() or tgt.scale(dj, v) != tgt.zero():
-                    raise InputError(f"pairing value at ({i},{j}) has incompatible order")
+        t = self.table
+        dt = np.asarray(self.target.carrier.factors, dtype=np.int64)
+        dl = np.asarray(self.left.carrier.factors, dtype=np.int64)[:, None, None]
+        dr = np.asarray(self.right.carrier.factors, dtype=np.int64)[None, :, None]
+        bad = np.argwhere((dl * t % dt).any(axis=2) | (dr * t % dt).any(axis=2))
+        if len(bad):
+            i, j = bad[0]
+            raise InputError(f"pairing value at ({i},{j}) has incompatible order")
         # The g under which the pairing is equivariant are closed under
-        # products, so generators suffice (``FiniteGroup.tree``).
+        # products, so generators suffice (``FiniteGroup.tree``).  The sums
+        # of pair(g.e_i, g.e_j) are exact in int64 when kl e_l e_t and
+        # kr e_r e_t are below 2^63, and Python ints otherwise.
+        kl, kr = self.left.rank, self.right.rank
+        el, er, et = self.left.carrier.exponent, self.right.carrier.exponent, self.target.carrier.exponent
+        exact = np.int64 if max(kl * el, kr * er) * et < 1 << 63 else object
+        te, de = t.astype(exact), dt.astype(exact)
         for g in self.left.group.tree[0]:
-            for i in range(self.left.rank):
-                gi = self.left.apply(g, self.left.carrier.basis_vector(i))
-                for j in range(self.right.rank):
-                    gj = self.right.apply(g, self.right.carrier.basis_vector(j))
-                    lhs = self.apply(gi, gj)
-                    rhs = self.target.apply(g, self.table[i][j])
-                    if lhs != rhs:
-                        raise NonEquivariantPairing(
-                            f"pair(g.e_{i}, g.e_{j}) != g.pair(e_{i}, e_{j}) for g={g}"
-                        )
-
-    def apply(self, mvec: Sequence[int], nvec: Sequence[int]) -> tuple[int, ...]:
-        tgt = self.target.carrier
-        out = tgt.zero()
-        for i, mi in enumerate(mvec):
-            if not mi:
-                continue
-            for j, nj in enumerate(nvec):
-                if not nj:
-                    continue
-                out = tgt.add(out, tgt.scale(mi * nj, self.table[i][j]))
-        return out
+            # lhs[j, i] = sum_{a,b} left[a, i] right[b, j] t[a, b]
+            left, right = self.left.action[g].astype(exact), self.right.action[g].astype(exact)
+            lhs = np.tensordot(right, np.tensordot(left, te, ([0], [0])) % de, ([0], [1])) % de
+            rhs = t @ self.target.action[g].T % dt
+            bad = np.argwhere((lhs.transpose(1, 0, 2) != rhs).any(axis=2))
+            if len(bad):
+                i, j = bad[0]
+                raise NonEquivariantPairing(
+                    f"pair(g.e_{i}, g.e_{j}) != g.pair(e_{i}, e_{j}) for g={g}"
+                )
 
     def restrict(self, sub: Subgroup) -> Pairing:
         return Pairing(
@@ -360,19 +347,19 @@ class Pairing:
         )
 
 
+def _evaluation_table(dd: DualData) -> np.ndarray:
+    """The (dual rank, source rank, 1) table of (f, x) -> f(x)."""
+    table = np.zeros((dd.dual.rank, dd.source.rank, 1), dtype=np.int64)
+    for i, (j, scale) in enumerate(zip(dd.kept, dd.scales)):
+        table[i, j, 0] = scale
+    return table
+
+
 def evaluation_pairing(dd: DualData) -> Pairing:
     """The pairing Hom(H^ab, mu) x H^ab -> mu, (f, x) -> f(x)."""
-    table = [
-        [dd.hom_value(dd.dual.carrier.basis_vector(i), dd.source.carrier.basis_vector(j)) for j in range(dd.source.rank)]
-        for i in range(dd.dual.rank)
-    ]
-    return Pairing(dd.dual, dd.source, dd.mu, table, name="evaluation")
+    return Pairing(dd.dual, dd.source, dd.mu, _evaluation_table(dd), name="evaluation")
 
 
 def flipped_evaluation_pairing(dd: DualData) -> Pairing:
     """The pairing H^ab x Hom(H^ab, mu) -> mu, (x, f) -> f(x)."""
-    table = [
-        [dd.hom_value(dd.dual.carrier.basis_vector(j), dd.source.carrier.basis_vector(i)) for j in range(dd.dual.rank)]
-        for i in range(dd.source.rank)
-    ]
-    return Pairing(dd.source, dd.dual, dd.mu, table, name="evaluation-flipped")
+    return Pairing(dd.source, dd.dual, dd.mu, _evaluation_table(dd).transpose(1, 0, 2), name="evaluation-flipped")

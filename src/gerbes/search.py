@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .arith import ArithmeticModel, Place, ShaResult, search_inv_assignments, sha
 from .cochain import Cochain, cohomology, restriction
-from .errors import GerbesError, NotLocallyNeutral
+from .errors import GerbesError, InputError, NotLocallyNeutral
 from .finab import FinAb, QmodZ
 from .gerbe import BMFunctional, GerbeExtension, brauer_manin, extension_from_cocycle
 from .groups import Subgroup, cyclic_group, klein_four_group
@@ -45,33 +47,16 @@ def _endomorphism_matrices(carrier: FinAb) -> Iterator[tuple[tuple[int, ...], ..
         yield tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
 
 
-def _involution_automorphisms(carrier: FinAb) -> list[tuple[tuple[int, ...], ...]]:
-    """All automorphism matrices squaring to the identity on the carrier."""
+def _involution_automorphisms(carrier: FinAb) -> list[np.ndarray]:
+    """All automorphism matrices squaring to the identity on the carrier:
+    exactly the matrices by which the generator of C2 may act."""
+    c2 = cyclic_group(2)
     out = []
-    elems = list(carrier.elements())
     for mat in _endomorphism_matrices(carrier):
-        def apply(v: Sequence[int]) -> tuple[int, ...]:
-            return tuple(
-                sum(mat[i][j] * v[j] for j in range(carrier.rank)) % carrier.factors[i]
-                for i in range(carrier.rank)
-            )
-
-        ok = True
-        for i in range(carrier.rank):
-            for j in range(carrier.rank):
-                need = carrier.factors[i] // math.gcd(carrier.factors[i], carrier.factors[j])
-                if mat[i][j] % need:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        try:
+            out.append(GModule(c2, carrier, {1: mat}).action[1])
+        except InputError:
             continue
-        if any(apply(apply(v)) != carrier.reduce(v) for v in elems):
-            continue
-        if len({apply(v) for v in elems}) != carrier.order:
-            continue
-        out.append(mat)
     return out
 
 
@@ -102,16 +87,8 @@ def find_sha_module_witness(max_carrier_order: int = 16) -> ShaWitness:
         carrier = FinAb(chain)
         invs = _involution_automorphisms(carrier)
         for p1, p2 in itertools.product(invs, repeat=2):
-            k = carrier.rank
-            p3 = tuple(
-                tuple(
-                    sum(p1[i][l] * p2[l][j] for l in range(k)) % carrier.factors[i]
-                    for j in range(k)
-                )
-                for i in range(k)
-            )
             try:
-                module = GModule(v4, carrier, {1: p1, 2: p2, 3: p3})
+                module = GModule(v4, carrier, {1: p1, 2: p2, 3: p1 @ p2})
             except GerbesError:
                 continue
             result = sha(model, module, 1)

@@ -112,10 +112,7 @@ def _transport_class(ext):
     car = cls_ab.module.carrier
 
     def phi(v):
-        out = car.zero()
-        for vi, col in zip(v, cols):
-            out = car.add(out, car.scale(vi, col))
-        return out
+        return tuple(sum(vi * col[r] for vi, col in zip(v, cols)) % d for r, d in enumerate(car.factors))
 
     transported = Cochain(cls_ab.module, 2, [phi(v) for v in cls_e.cochain.values])
     h2 = cohomology(cls_ab.module, 2)

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from gerbes.errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing
@@ -21,6 +23,11 @@ from gerbes.modules import (
     restrict_module,
     trivial_module,
 )
+
+
+def _act(module, g, v):
+    """The carrier vector ``v`` moved by ``module.action[g]``."""
+    return tuple((module.action[g] @ np.asarray(v, dtype=np.int64) % module.carrier.factors).tolist())
 
 
 def test_gmodule_validation():
@@ -49,7 +56,7 @@ def test_action_keys_outside_the_group_are_refused():
 def test_cyclic_module_character():
     z4 = cyclic_group(4)
     m = cyclic_module(z4, 8, {1: 7, 2: 1, 3: 7})
-    assert m.apply(1, (3,)) == (5,)
+    assert _act(m, 1, (3,)) == (5,)
     with pytest.raises(InputError):
         cyclic_module(z4, 8, {1: 2})
 
@@ -64,7 +71,7 @@ def test_restrict_examples():
     assert restrict_module(m, Subgroup.trivial(z4)).is_trivial_action
     whole = restrict_module(m, Subgroup.whole(z4))
     assert whole.carrier == m.carrier
-    assert [whole.matrix(g) for g in range(4)] == [m.matrix(g) for g in range(4)]
+    assert [whole.action[g].tolist() for g in range(4)] == [m.action[g].tolist() for g in range(4)]
     # Memoized: same subgroup gives the same object.
     assert restrict_module(m, sub) is restrict_module(m, Subgroup(z4, (0, 2)))
 
@@ -113,7 +120,7 @@ def _equivariant_iso_exists(a: GModule, b: GModule) -> bool:
         if len({apply(v) for v in elems}) != car.order:
             continue
         if all(
-            apply(a.apply(g, v)) == b.apply(g, apply(v))
+            apply(_act(a, g, v)) == _act(b, g, apply(v))
             for g in range(a.group.order)
             for v in elems
         ):
@@ -142,7 +149,7 @@ def test_double_dual(h_name):
     elems = list(dd.dual.carrier.elements())
     index = {e: i for i, e in enumerate(elems)}
     for g in range(z2.order):
-        perms.append([index[dd.dual.apply(g, e)] for e in elems])
+        perms.append([index[_act(dd.dual, g, e)] for e in elems])
     dd2 = dual_module(dual_group, perms, mu)
     assert dd2.dual.carrier.order == dd.source.carrier.order
     assert _equivariant_iso_exists(dd2.dual, dd.source)
@@ -159,7 +166,7 @@ def test_action_compatibility_exhaustive():
             gh = v4.table[g][h]
             for i in range(dd.dual.rank):
                 v = dd.dual.carrier.basis_vector(i)
-                assert dd.dual.apply(g, dd.dual.apply(h, v)) == dd.dual.apply(gh, v)
+                assert _act(dd.dual, g, _act(dd.dual, h, v)) == _act(dd.dual, gh, v)
 
 
 def test_pairing_validation_and_evaluation():
@@ -183,7 +190,7 @@ def test_evaluation_pairing_values():
     pair = evaluation_pairing(dd)
     # Hom(Z/6, Z/4) = Z/2, generated by x -> 2 * (3x mod 6 reduced): check
     # the generator pairs the H^ab generator to an order-2 value of mu.
-    val = pair.apply((1,), dd.source.carrier.basis_vector(dd.kept[0]))
+    val = tuple(pair.table[0, dd.kept[0]].tolist())
     assert val == (2,)
 
 
@@ -280,3 +287,66 @@ def test_validation_failures_name_the_first_failing_element(build, kind, message
         build()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_non_integer_inputs_are_refused_not_truncated():
+    """Floats and bools are refused wherever a module or pairing takes
+    integers; integers of any size, numpy's included, reduce exactly."""
+    z2 = cyclic_group(2)
+    actions = (
+        {1: [[3.7]]}, {1: [[True]]}, [[[1]], [[3.0]]], [[[1]], np.array([[3.0]])],
+        {True: [[3]]}, {1.9: [[3]]}, {"1": [[3]]},
+    )
+    for action in actions:
+        with pytest.raises(InputError):
+            GModule(z2, FinAb((4,)), action)
+    with pytest.raises(InputError):
+        GModule(z2, FinAb((2, 2)), {1: [[0, 1], [True, 0]]})
+    for character in ({1: 7.9}, {1.0: 7}, {1: True}):
+        with pytest.raises(InputError):
+            cyclic_module(z2, 8, character)
+    t = cyclic_module(z2, 4)
+    for table in ([[(1.5,)]], [[(True,)]], [[(2.0,)]]):
+        with pytest.raises(InputError):
+            Pairing(t, t, t, table)
+    assert GModule(z2, FinAb((4,)), {np.int64(1): [[np.int64(7)]]}).action[1, 0, 0] == 3
+    assert cyclic_module(z2, 8, {1: 2**70 - 1}).action[1, 0, 0] == 7
+    assert Pairing(t, t, t, [[(2**70 + 2,)]]).table.tolist() == [[[2]]]
+
+
+def test_module_and_pairing_arrays_are_read_only():
+    z2 = cyclic_group(2)
+    m = cyclic_module(z2, 4, {1: 3})
+    pair = Pairing(m, cyclic_module(z2, 4), m, [[(1,)]])
+    for array, shape in ((m.action, (2, 1, 1)), (trivial_module(z2, (2, 4)).action, (2, 2, 2)), (pair.table, (1, 1, 1))):
+        assert array.dtype == np.int64 and array.shape == shape
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 0
+
+
+def test_equivariance_is_exact_past_int64():
+    """C2 acting on (Z/2^27)^250 by [[1, 0], [v, -1]], paired into
+    Z/(3 2^28) by the bits b of a table of halves: the sums of
+    pair(g.e_i, g.e_j) pass 2^63, and the pairing is equivariant exactly
+    when sum v_a b_a is even."""
+    z2 = cyclic_group(2)
+    k, e, et = 250, 2**27, 3 * 2**28
+    rng = random.Random(7)
+    right, target = trivial_module(z2, (e,)), trivial_module(z2, (et,))
+    outcomes = set()
+    for _ in range(6):
+        v = [rng.randrange(3 * e // 4, e) for _ in range(k - 1)]
+        b = [1] + [int(rng.random() < 0.95) for _ in range(k - 1)]
+        act = np.zeros((k, k), dtype=np.int64)
+        act[0, 0], act[1:, 0] = 1, v
+        act[range(1, k), range(1, k)] = -1
+        left = GModule(z2, FinAb((e,) * k), [np.eye(k, dtype=np.int64), act])
+        table = [[(bit * et // 2,)] for bit in b]
+        even = sum(x * y for x, y in zip(v, b[1:])) % 2 == 0
+        outcomes.add(even)
+        if even:
+            Pairing(left, right, target, table)
+        else:
+            with pytest.raises(NonEquivariantPairing):
+                Pairing(left, right, target, table)
+    assert outcomes == {True, False}

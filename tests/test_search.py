@@ -8,7 +8,7 @@ from gerbes.search import find_mh_witness, find_sha_module_witness
 def test_sha_witness_search_is_reproducible():
     w = find_sha_module_witness()
     assert w.module.carrier.factors == (8,)
-    assert [w.module.matrix(g)[0][0] for g in range(4)] == [1, 3, 5, 7]
+    assert [w.module.action[g][0][0] for g in range(4)] == [1, 3, 5, 7]
     assert w.result.factors == (2,)
 
 
