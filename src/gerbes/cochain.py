@@ -63,7 +63,7 @@ from .linalg import (
     smith_quotient,
     solve_mod,
 )
-from .modules import GModule, Pairing, restrict_module
+from .modules import GModule, Pairing, _residues, restrict_module
 
 MAX_DEGREE = 3
 _PLAN_SLOT_BOUND = 4_000_000
@@ -96,9 +96,12 @@ class Cochain:
         slots = (module.group.order - 1) ** degree
         if len(values) != slots:
             raise InputError(f"expected {slots} value slots, got {len(values)}")
+        array = _residues(values, (slots, module.rank), module.carrier.factors, "cochain values")
+        if array is None:
+            raise InputError(f"cochain values are not {slots} vectors of rank {module.rank}")
         self.module = module
         self.degree = degree
-        self.array = _reduced(values, module.carrier.factors, slots)
+        self.array = array
 
     @staticmethod
     def zero(module: GModule, degree: int) -> Cochain:
@@ -160,31 +163,6 @@ class Cochain:
 
     def __repr__(self) -> str:
         return f"Cochain(deg={self.degree}, {self.module!r})"
-
-
-def _reduced(values: Sequence[Sequence[int]] | np.ndarray, factors: tuple[int, ...], slots: int) -> np.ndarray:
-    """The read-only (slots, rank) int64 array of ``values``, entry i of each row mod factors[i].
-
-    Integer entries of any size reduce exactly: unsigned and object arrays
-    (Python ints past int64) are reduced as Python ints.  numpy infers
-    float64 for nested lists whose ints straddle 2**63, so such input is
-    rebuilt as an object array, where a real float still fails the check.
-    """
-    try:
-        raw = np.asarray(values)
-        if raw.dtype.kind == "f" and not isinstance(values, np.ndarray):
-            raw = np.asarray(values, dtype=object)
-        raw = raw.reshape(slots, len(factors))
-    except ValueError:
-        raise InputError(f"cochain values are not {slots} vectors of rank {len(factors)}") from None
-    if raw.size == 0 or raw.dtype.kind == "i":
-        out = raw.astype(np.int64, copy=False) % np.asarray(factors, dtype=np.int64)
-    elif raw.dtype.kind in "uO" and all(isinstance(x, (int, np.integer)) for x in raw.flat):
-        out = (raw.astype(object) % np.asarray(factors, dtype=object)).astype(np.int64)
-    else:
-        raise InputError(f"cochain values have dtype {raw.dtype}, not integers")
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,8 +349,11 @@ def cup(a: Cochain, b: Cochain, pairing: Pairing) -> Cochain:
 class ObstructionCertificate:
     """Evidence that a cocycle is not a coboundary.
 
-    For degrees 1 and 2 this is the nonzero class in canonical coordinates;
-    for degree 3 it is the list of unsatisfiable reduced congruences.
+    ``congruences`` are the unsatisfiable reduced congruences of the solve
+    on generator coordinates (``solve_coboundary``): each column is a
+    generator coordinate of the primitive, or None for a row that reads
+    0 == rhs.  For degrees 1 and 2, ``class_coords`` is the nonzero class
+    in canonical coordinates; in degree 3 it is None.
     """
 
     degree: int
@@ -451,17 +432,14 @@ def _scaled(module: GModule, raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _scaled_differential(module: GModule, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _scaled_differential(module: GModule, degree: int) -> np.ndarray:
     """Generator rows of d_degree over Z/e, e = ``_modulus``, row i scaled by e / d_i.
 
-    Returns the matrix, its output slots (``_generator_slots``) and e; x is
-    a cocycle modulo the carrier factors exactly when the matrix sends it to
-    0 mod e.
+    x is a cocycle modulo the carrier factors exactly when the matrix sends
+    it to 0 mod e.  ``CohomologyGroup`` takes its kernel.
     """
-    slots = _generator_slots(module, degree)
     mat = _differential_matrix(module, degree, "generators")
-    scaled = _scaled(module, mat.reshape(len(slots), module.rank, mat.shape[1]))
-    return scaled.reshape(mat.shape), slots, _modulus(module)
+    return _scaled(module, mat.reshape(-1, module.rank, mat.shape[1])).reshape(mat.shape)
 
 
 def _lift(module: GModule, degree: int, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -612,8 +590,8 @@ class CohomologyGroup:
                 f"H^{degree} over a group of order {q + 1} has {columns} cochain coordinates "
                 f"of {bits} bits, past the bound of {_KERNEL_COLUMN_BOUND} on their product"
             )
-        a_scaled, _, e = memo(module, degree, _scaled_differential, module, degree)
-        kernel = kernel_mod(a_scaled, e)
+        e = _modulus(module)
+        kernel = kernel_mod(memo(module, degree, _scaled_differential, module, degree), e)
         # The cocycle lattice modulo [d_{n-1} | diag(carrier factors)], in
         # kernel coordinates.
         relations = np.diag(np.tile(np.asarray(module.carrier.factors, dtype=object), q**degree))
@@ -690,15 +668,15 @@ class CohomologyGroup:
     def cochain_from_coords(self, coords: Sequence[int]) -> Cochain:
         """sum_i coords_i rep_i, as one product with the stacked representatives.
 
-        ``coords`` has one entry per invariant factor.  Each term is reduced
-        before the sum, so every entry stays below e**2 for the exponent e,
-        inside int64 by GModule's bound.
+        ``coords`` has one integer entry per invariant factor, read mod the
+        exponent e.  Each term is reduced before the sum, so every entry
+        stays below e**2, inside int64 by GModule's bound.
         """
-        if len(coords) != len(self.factors):
+        c = _residues(coords, (len(self.factors),), [self.module.carrier.exponent], "class coordinates")
+        if c is None:
             raise InputError(f"H^{self.degree} has {len(self.factors)} coordinates, got {len(coords)}")
-        if not coords:
+        if not self.factors:
             return self.zero_cochain()
-        c = np.asarray([int(x) % self.module.carrier.exponent for x in coords])
         reps = np.stack([rep.array for rep in self.representatives])
         terms = c[:, None, None] * reps % np.asarray(self.module.carrier.factors)
         return Cochain(self.module, self.degree, terms.sum(axis=0))
@@ -724,9 +702,9 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     lift(v, y) (the lemma of ``_tree_coordinates``), which is reduced to
     that least solution by the Howell rows of the cocycles, columns
     reversed (``_cocycle_rows``).  When A v == rhs has no solution, no
-    primitive exists, and the certificate carries the nonzero reduced class
-    (degrees 1 and 2) and the unsatisfiable congruences of the solve on the
-    generator rows of d_{n-1} (``_scaled_differential``).
+    primitive exists, and the certificate carries the unsatisfiable
+    congruences of that solve, on generator coordinates, and in degrees 1
+    and 2 the reduced class, which must then be nonzero.
     """
     n = y.degree
     if not 1 <= n <= MAX_DEGREE:
@@ -743,9 +721,12 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     base = _lift(module, n - 1, np.zeros((tc.lift.shape[1] // k, k, 1), dtype=np.int64), y.array)
     off_tree = _plan(module, n - 1, "off_tree").slots
     rhs = _scaled(module, y.array[off_tree, :, None] - _apply_d(module, n - 1, "off_tree", base)).ravel()
-    v, _ = solve_mod(tc.consistency, rhs, e)
+    v, failed = solve_mod(tc.consistency, rhs, e)
     if v is None:
-        return _obstruction(y)
+        coords = cohomology(module, n).reduce(y) if n <= 2 else None
+        if coords is not None and not any(coords):
+            raise GerbesError(f"no primitive found for a {n}-cocycle whose class is zero")
+        return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
     x = (base.ravel() + product_mod(tc.lift, np.asarray(v, dtype=np.int64), e))[::-1] % e
     for row in memo(module, n - 1, _cocycle_rows, module, n - 1):
         p = int(np.flatnonzero(row)[0])
@@ -758,19 +739,6 @@ def solve_coboundary(y: Cochain) -> CoboundaryResult:
     return CoboundaryResult(c, None)
 
 
-def _obstruction(y: Cochain) -> CoboundaryResult:
-    """The certificate that the cocycle ``y`` has no primitive, as a solve on bar coordinates gives it."""
-    n = y.degree
-    module = y.module
-    b_scaled, slots, e = memo(module, n - 1, _scaled_differential, module, n - 1)
-    scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
-    x, failed = solve_mod(b_scaled, (y.array[slots] * scale % e).ravel(), e)
-    if x is not None:
-        raise GerbesError("the generator-coordinate solve missed a primitive")
-    coords = cohomology(module, n).reduce(y) if n <= 2 else None
-    return CoboundaryResult(None, ObstructionCertificate(n, coords, tuple(failed)))
-
-
 def _carrier_values(module: GModule, degree: int, phis: np.ndarray) -> np.ndarray:
     """The values phis_j d_j mod e of phis on the cocycles d_j e_j, for each d_j below e."""
     cols, factors = _carrier_columns(module, degree)
@@ -780,7 +748,7 @@ def _carrier_values(module: GModule, degree: int, phis: np.ndarray) -> np.ndarra
 def cocycle_annihilator(module: GModule, degree: int, phi: Sequence[int]) -> np.ndarray | None:
     """Certify that a row vector phi on C^degree vanishes on every cocycle.
 
-    Coordinates are the scaled ones over Z/e of ``_scaled_differential``.
+    Coordinates are the scaled ones over Z/e of ``_scaled``.
     The cocycles are the lifts R v with A v == 0, plus d_j e_j wherever the
     carrier factor d_j is below e (``_tree_coordinates``).  So phi kills
     them exactly when phi_j d_j == 0 (mod e) for those j and phi R lies in

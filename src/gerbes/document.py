@@ -199,11 +199,7 @@ def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup
         raise InputError(f"module {name!r} is missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
     factors = tuple(_integers(spec.get("factors", []), f"module {name!r} factors"))
-    field = f"module {name!r} action"
-    action = {
-        _element(k, field): [_integers(row, field) for row in mat]
-        for k, mat in (spec.get("action") or {}).items()
-    }
+    action = {_element(k, f"module {name!r} action"): mat for k, mat in (spec.get("action") or {}).items()}
     try:
         return GModule(group, FinAb(factors), action or None, name=name)
     except InputError as exc:
@@ -235,10 +231,7 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
     modulus = _integer(mu_spec.get("modulus", 0), "model mu modulus")
     if modulus < 2:
         raise InputError("model 'mu' needs a modulus >= 2")
-    character = {
-        _element(k, "model mu character"): _integer(v, "model mu character value")
-        for k, v in (mu_spec.get("character") or {}).items()
-    }
+    character = {_element(k, "model mu character"): v for k, v in (mu_spec.get("character") or {}).items()}
     mu = cyclic_module(group, modulus, character or None, name="mu")
     places = []
     for i, pspec in enumerate(spec.get("places") or []):

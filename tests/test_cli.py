@@ -271,6 +271,13 @@ MALFORMED = {
     "character-key-signed": _set(["model", "mu", "character"], {"+1": 3, "3": 3}),
     "action-float": _set(["modules", "M", "action", "1"], [[3.2]]),
     "action-key-signed": _set(["modules", "M", "action"], {"+1": [[3]], "3": [[3]]}),
+    "action-entry-string": _set(["modules", "M", "action", "1"], [["3"]]),
+    "action-entry-null": _set(["modules", "M", "action", "1"], [[None]]),
+    "action-entry-nested": _set(["modules", "M", "action", "1"], [[[3]]]),
+    "character-string": _set(["model", "mu", "character", "1"], "3"),
+    "character-list": _set(["model", "mu", "character", "1"], [3]),
+    "character-null": _set(["model", "mu", "character", "1"], None),
+    "character-bool": _set(["model", "mu", "character", "1"], True),
     "factor-float": _set(["modules", "M", "factors"], [4.0]),
     "projection-float": _set(["extensions", "E", "projection", 1], 1.5),
     "injection-float": _set(["extensions", "E", "injection", 1], 4.0),

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_generator_rows_have_the_howell_form_of_d():
     as the whole scaled d_n, so kernels and solves are unchanged."""
     import numpy as np
 
-    from gerbes.cochain import _differential_matrix, _scaled_differential
+    from gerbes.cochain import _differential_matrix, _modulus, _scaled_differential
     from gerbes.fixtures import oracle_groups, oracle_modules
     from gerbes.linalg import howell_reduce_rows
 
@@ -95,7 +96,7 @@ def test_generator_rows_have_the_howell_form_of_d():
         for _, module in oracle_modules(group):
             factors = np.asarray(module.carrier.factors, dtype=np.int64)
             for deg in (0, 1, 2):
-                rows, _, e = _scaled_differential(module, deg)
+                rows, e = _scaled_differential(module, deg), _modulus(module)
                 full = _differential_matrix(module, deg)
                 assert len(rows) < len(full) or q <= 1
                 full = full * np.tile(e // factors, q ** (deg + 1))[:, None] % e
@@ -196,7 +197,8 @@ def test_representatives_reduce_to_basis():
 
 def test_cochain_from_coords_takes_one_coordinate_per_factor():
     """H^2(C4, Z/4(-1)) = Z/2: a coordinate list of any other length is
-    refused, not padded or truncated."""
+    refused, not padded or truncated, and so is a coordinate that is not
+    an integer."""
     c4 = cyclic_group(4)
     h2 = cohomology(cyclic_module(c4, 4, {1: 3, 3: 3}), 2)
     assert h2.factors == (2,)
@@ -204,6 +206,10 @@ def test_cochain_from_coords_takes_one_coordinate_per_factor():
     for coords in ([], [1, 1, 1]):
         with pytest.raises(InputError, match=f"H\\^2 has 1 coordinates, got {len(coords)}"):
             h2.cochain_from_coords(coords)
+    for coords in ([1.9], [True], ["1"], [None]):
+        with pytest.raises(InputError, match="class coordinates must be integers"):
+            h2.cochain_from_coords(coords)
+    assert h2.cochain_from_coords([np.int64(-1)]) == h2.cochain_from_coords([2**70 + 3])
     zero = cohomology(trivial_module(c4, (3,)), 2)
     assert zero.factors == () and zero.cochain_from_coords([]).is_zero()
     with pytest.raises(InputError):
@@ -282,6 +288,20 @@ def test_solve_coboundary_examples():
             if not is_cocycle(c):
                 solve_coboundary(c)
                 break
+
+
+def test_a_failed_solve_of_a_zero_class_is_an_internal_error(monkeypatch):
+    """A solve that finds no primitive of a cocycle whose class reduces to
+    zero contradicts itself, and says so as a plain GerbesError (exit 4)."""
+    from gerbes import cochain
+
+    monkeypatch.setattr(cochain, "solve_mod", lambda a, y, e: (None, []))
+    m = trivial_module(cyclic_group(4), (2,))
+    for n in (1, 2):
+        y = differential(Cochain.random(m, n - 1, random.Random(n)))
+        with pytest.raises(GerbesError, match="whose class is zero") as info:
+            solve_coboundary(y)
+        assert type(info.value) is GerbesError
 
 
 def test_degree3_certificate_is_congruence_based():
@@ -437,14 +457,14 @@ def test_constructor_reduces_exactly_and_checks_its_input():
         Cochain(m, 1, [(0,)] * 3)
     with pytest.raises(InputError, match="rank"):
         Cochain(m, 1, [(0, 0), (0,), (0, 0)])
-    with pytest.raises(InputError, match="dtype"):
+    with pytest.raises(InputError, match="cochain values must be integers"):
         Cochain(m, 1, np.zeros((3, 2)))
-    with pytest.raises(InputError, match="dtype"):
+    with pytest.raises(InputError, match="cochain values must be integers"):
         Cochain(m, 1, [(0.5, 0)] * 3)
     # numpy infers float64 for lists whose ints straddle 2**63.
     for raw, want in (((0, 2**63), (0, 0)), ((2**63, 1), (0, 1)), ((-1, 2**64 - 1), (1, 3))):
         assert Cochain(m, 1, [raw] * 3).values == (want,) * 3
-    with pytest.raises(InputError, match="dtype"):
+    with pytest.raises(InputError, match="cochain values must be integers"):
         Cochain(m, 1, [(0.5, 1)] * 3)
     with pytest.raises(ValueError):
         c.array[0, 0] = 0
@@ -452,6 +472,13 @@ def test_constructor_reduces_exactly_and_checks_its_input():
     assert twin == c and hash(twin) == hash(c)
     assert {c: 1}[twin] == 1
     assert Cochain(trivial_module(cyclic_group(1), (2,)), 2, []).array.shape == (0, 1)
+
+
+def test_constructor_refuses_a_bool_among_ints():
+    """numpy reads [(True,), (3,)] as int64; the constructor refuses the bool
+    instead of reading it as 1."""
+    with pytest.raises(InputError, match="cochain values must be integers, got True"):
+        Cochain(trivial_module(cyclic_group(3), (4,)), 1, [(True,), (3,)])
 
 
 def _twisted_modules(group, odd):
@@ -580,11 +607,17 @@ def _solve_cases():
 
 def _bar_solve(y):
     """solve_coboundary as a solve on the bar coordinates of the generator rows of d_{n-1}."""
-    from gerbes.cochain import CoboundaryResult, ObstructionCertificate, _scaled_differential
+    from gerbes.cochain import (
+        CoboundaryResult,
+        ObstructionCertificate,
+        _generator_slots,
+        _modulus,
+        _scaled_differential,
+    )
     from gerbes.linalg import solve_mod
 
     module, n = y.module, y.degree
-    rows, slots, e = _scaled_differential(module, n - 1)
+    rows, slots, e = _scaled_differential(module, n - 1), _generator_slots(module, n - 1), _modulus(module)
     scale = e // np.asarray(module.carrier.factors, dtype=np.int64)
     x, failed = solve_mod(rows, (y.array[slots] * scale % e).ravel(), e)
     if x is None:
@@ -593,9 +626,22 @@ def _bar_solve(y):
     return CoboundaryResult(np.reshape(x, (-1, module.rank)), None)
 
 
-def test_solve_coboundary_equals_the_bar_coordinate_solve():
+def test_solve_coboundary_equals_the_bar_coordinate_solve(monkeypatch):
     """The primitive is the one a bar-coordinate solve returns, unreduced
-    entries included, and an obstruction carries the same certificate."""
+    entries included; an obstruction is found by both solves, with the same
+    class, and its certificate holds the congruences of the solve on
+    generator coordinates."""
+    from gerbes import cochain
+    from gerbes.cochain import ObstructionCertificate
+
+    solves = []
+    real = cochain.solve_mod
+
+    def spy(a, y, e):
+        solves.append(real(a, y, e))
+        return solves[-1]
+
+    monkeypatch.setattr(cochain, "solve_mod", spy)
     rng = random.Random(13)
     for module in _solve_cases():
         cocycles = []
@@ -610,16 +656,22 @@ def test_solve_coboundary_equals_the_bar_coordinate_solve():
             h1, h2 = cohomology(module, 1), cohomology(module, 2)
             cocycles += [cup(random_cocycle(h1, rng), random_cocycle(h2, rng), pair) for _ in range(2)]
         for y in cocycles:
+            solves.clear()
             got, want = solve_coboundary(y), _bar_solve(y)
-            assert got.certificate == want.certificate, (module, y.degree)
-            if want.primitive is not None:
+            assert (got.primitive is None) == (want.primitive is None), (module, y.degree)
+            if want.primitive is None:
+                [(_, failed)] = solves
+                want_certificate = ObstructionCertificate(y.degree, want.certificate.class_coords, tuple(failed))
+                assert got.certificate == want_certificate, (module, y.degree)
+            else:
                 assert np.array_equal(got.primitive.array, want.primitive), (module, y.degree)
 
 
 def test_generator_coordinate_paths_skip_the_bar_rows(monkeypatch):
-    """A successful solve and both membership tests build no bar-coordinate
-    rows of d_{n-1}, and a solve eliminates on one column per generator
-    coordinate of the primitive: q^(n-2) |S| k, or k in degree 1."""
+    """A solve, successful or not, and both membership tests build no
+    bar-coordinate rows of d_{n-1}, and a solve eliminates on one column per
+    generator coordinate of the primitive: q^(n-2) |S| k, or k in degree 1.
+    Every congruence of an obstruction's certificate is unsatisfiable."""
     from gerbes import cochain
     from gerbes.cochain import _scaled_differential, cocycle_annihilator, cocycle_relations
 
@@ -647,6 +699,35 @@ def test_generator_coordinate_paths_skip_the_bar_rows(monkeypatch):
         assert cocycle_annihilator(module, 2, phi) is not None
         cocycle_relations(module, 2, phi[None, :], np.ones((1, 1), dtype=np.int64))
         assert (_scaled_differential, 2) not in module._memo
+
+    def obstructions():
+        """(module, cocycle) pairs without a primitive, each module fresh, so
+        that building the target builds no bar rows of d_{n-1}."""
+        for n in (1, 2):
+            yield from (
+                (module, cohomology(module, n).representatives[0])
+                for module in (
+                    _twisted_modules(cyclic_group(10), range(1, 10, 2))[0],
+                    _twisted_modules(d4, odd)[2],
+                )
+            )
+        module = trivial_module(cyclic_group(10), (2,))
+        pair = Pairing(module, module, module, [[(1,)]])
+        x = cohomology(module, 1).representatives[0]
+        yield module, cup(cup(x, x, pair), x, pair)  # x^3 != 0 in H^3(C10, Z/2)
+
+    for module, y in obstructions():
+        n, q, k, s = y.degree, module.group.order - 1, module.rank, len(module.group.tree[0])
+        widths.clear()
+        out = solve_coboundary(y)
+        assert out.primitive is None and out.certificate.congruences
+        assert widths == [q ** (n - 2) * s * k if n >= 2 else k]
+        assert (_scaled_differential, n - 1) not in module._memo
+        for c in out.certificate.congruences:
+            if c.column is None:
+                assert c.rhs % c.modulus, c
+            else:
+                assert c.rhs % math.gcd(c.coefficient, c.modulus), c
 
 
 def test_generator_row_cocycle_check_agrees_with_d3():
