@@ -303,6 +303,10 @@ def sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
     rows of that Howell form (``hermite_column_basis``).  So the output
     does not depend on the order in which places are listed.
     """
+    return memo(model, (module, degree), _sha, model, module, degree)
+
+
+def _sha(model: ArithmeticModel, module: GModule, degree: int) -> ShaResult:
     if degree not in (1, 2):
         raise InputError("sha is computed in degrees 1 and 2")
     if module.group is not model.group:

@@ -44,11 +44,10 @@ import numpy as np
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
 from .cochain import Cochain, CohomologyGroup
 from .errors import InputError, SizeBound
-from .finab import QmodZ
+from .finab import FinAb, QmodZ
 from .gerbe import BMFunctional, BMTrace, FactorizationReport, GerbeExtension
 from .groups import DEFAULT_CLOSURE_BOUND, FiniteGroup, GroupHom, Subgroup, build_group
 from .modules import GModule, cyclic_module
-from .finab import FinAb
 
 _INT = {int}
 
@@ -116,7 +115,7 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
     closure_bound = max(max_group_order, DEFAULT_CLOSURE_BOUND)
     try:
         groups = {
-            name: build_group(_integer_entries(spec, name), max_order=closure_bound, name=name)
+            name: build_group(spec, max_order=closure_bound, name=name)
             for name, spec in (raw.get("groups") or {}).items()
         }
         modules = {
@@ -151,13 +150,6 @@ def _integer(value: Any, field: str) -> int:
     return value
 
 
-def _integers(values: Any, field: str) -> list[int]:
-    """A list of JSON integers; one type scan passes a list of exact ints."""
-    if type(values) is list and _INT.issuperset(map(type, values)):
-        return list(values)
-    return [_integer(x, field) for x in values]
-
-
 def _fraction(value: Any, field: str) -> QmodZ:
     """A Q/Z value: a JSON string ``a`` or ``a/b`` of ASCII digits, b >= 1, gcd(a, b) = 1."""
     parts = value.split("/") if isinstance(value, str) else []
@@ -176,15 +168,6 @@ def _element(key: str, field: str) -> int:
     return int(key)
 
 
-def _integer_entries(spec: dict[str, Any], name: str) -> dict[str, Any]:
-    """A group description whose table or permutations hold only integers."""
-    out = dict(spec)
-    for key in ("table", "permutations"):
-        if key in spec:
-            out[key] = [_integers(row, f"group {name!r} {key}") for row in spec[key]]
-    return out
-
-
 def _acting_group(groups: dict[str, FiniteGroup], name: str, bound: int) -> FiniteGroup:
     group = _lookup(groups, name, "group")
     if group.order > bound:
@@ -198,10 +181,9 @@ def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup
     if "group" not in spec:
         raise InputError(f"module {name!r} is missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
-    factors = tuple(_integers(spec.get("factors", []), f"module {name!r} factors"))
     action = {_element(k, f"module {name!r} action"): mat for k, mat in (spec.get("action") or {}).items()}
     try:
-        return GModule(group, FinAb(factors), action or None, name=name)
+        return GModule(group, FinAb(spec.get("factors", [])), action or None, name=name)
     except InputError as exc:
         raise InputError(f"module {name!r}: {exc}") from exc
 
@@ -216,8 +198,8 @@ def _parse_extension(
     quotient = _acting_group(groups, spec["quotient"], bound)
     kernel = _lookup(groups, spec["kernel"], "group")
     try:
-        proj = GroupHom(total, quotient, _integers(spec["projection"], f"extension {name!r} projection"))
-        incl = GroupHom(kernel, total, _integers(spec["injection"], f"extension {name!r} injection"))
+        proj = GroupHom(total, quotient, spec["projection"])
+        incl = GroupHom(kernel, total, spec["injection"])
         return GerbeExtension(proj, incl)
     except InputError as exc:
         raise InputError(f"extension {name!r}: {exc}") from exc
@@ -229,8 +211,6 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
     group = _acting_group(groups, spec["group"], bound)
     mu_spec = spec.get("mu") or {}
     modulus = _integer(mu_spec.get("modulus", 0), "model mu modulus")
-    if modulus < 2:
-        raise InputError("model 'mu' needs a modulus >= 2")
     character = {_element(k, "model mu character"): v for k, v in (mu_spec.get("character") or {}).items()}
     mu = cyclic_module(group, modulus, character or None, name="mu")
     places = []
@@ -238,7 +218,7 @@ def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: in
         pname = pspec.get("name", f"v{i}")
         if not isinstance(pname, str):
             raise InputError(f"place {i} name must be a string, got {pname!r}")
-        sub = Subgroup(group, tuple(_integers(pspec.get("subgroup", [0]), f"place {pname!r} subgroup")))
+        sub = Subgroup(group, pspec.get("subgroup", [0]))
         raw_inv = pspec.get("inv", [])
         if not isinstance(raw_inv, list):
             raise InputError(f"place {pname!r} inv must be a list, got {raw_inv!r}")

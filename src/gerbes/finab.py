@@ -5,9 +5,48 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from .errors import GerbesError, InputError
+
+# Python's int and every numpy integer scalar type; bool and np.bool_ are not among them.
+_INTEGER_TYPES = {int} | {np.dtype(c).type for c in np.typecodes["AllInteger"]}
+
+
+def _flat(values: Any, ndim: int) -> Any:
+    for _ in range(ndim - 1):
+        values = itertools.chain.from_iterable(values)
+    return values
+
+
+def integer_array(values: Any, what: str, ndim: int = 1) -> np.ndarray | None:
+    """``values``, nested ``ndim`` deep, as an int64 array (object, of Python
+    ints, past int64), or None when it does not nest evenly ``ndim`` deep.
+    An entry whose type is not int or a numpy integer type (a float, bool,
+    string or None) raises InputError naming ``what`` and the entry: nothing is
+    truncated.  An int64 array passes without a scan, and nested lists take one.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values
+        values = values.tolist()
+    try:
+        if not _INTEGER_TYPES.issuperset(map(type, _flat(values, ndim))):
+            bad = next(x for x in _flat(values, ndim) if type(x) not in _INTEGER_TYPES)
+            raise InputError(f"{what} must be integers, got {bad!r}")
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    except (TypeError, ValueError):
+        return None
+
+
+def integer_tuple(values: Any, what: str) -> tuple[int, ...]:
+    """A flat iterable of integers as a tuple of Python ints, by ``integer_array``."""
+    return tuple(integer_array(list(values), what).tolist())
 
 
 @dataclass(frozen=True)
@@ -21,6 +60,7 @@ class FinAb:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", integer_tuple(self.factors, "invariant factors"))
         for i, d in enumerate(self.factors):
             if d < 2:
                 raise InputError(f"invariant factor {d} < 2 at position {i}")
@@ -69,6 +109,7 @@ class QmodZ:
 
     @staticmethod
     def make(num: int, den: int) -> QmodZ:
+        num, den = integer_tuple((num, den), "Q/Z numerators and denominators")
         if den == 0:
             raise InputError("denominator must be nonzero")
         if den < 0:

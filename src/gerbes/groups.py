@@ -25,7 +25,7 @@ from .errors import (
     NoInverse,
     NonAssociative,
 )
-from .finab import FinAb, abelian_structure
+from .finab import FinAb, abelian_structure, integer_array, integer_tuple
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -72,22 +72,6 @@ def spanning_tree(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple
     return gens, steps
 
 
-def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """``rows`` as an integer array, after checking every entry is in [0, n).
-
-    An entry out of range raises InputError naming the first one in row
-    order; entries past int64 are out of range, and are compared as Python ints.
-    """
-    try:
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    except OverflowError:
-        arr = np.array(rows, dtype=object).reshape(len(rows), n)
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        raise InputError(f"table entry {int(arr.flat[bad.argmax()])} out of range [0, {n})")
-    return arr
-
-
 class FiniteGroup:
     """Immutable finite group on {0, ..., order-1} with identity 0.
 
@@ -105,7 +89,10 @@ class FiniteGroup:
         if n == 0:
             raise NoIdentity("empty multiplication table")
         short = next((i for i, row in enumerate(table) if len(row) != n), n)
-        arr = _table_array(table[:short], n)
+        arr = integer_array(table[:short], "table entries", 2).reshape(short, n)
+        bad = (arr < 0) | (arr >= n)
+        if bad.any():
+            raise InputError(f"table entry {int(arr.flat[bad.argmax()])} out of range [0, {n})")
         if short < n:
             raise InputError(f"row {short} has length {len(table[short])}, expected {n}")
         self.order = n
@@ -190,10 +177,13 @@ class FiniteGroup:
 
 def build_group(spec: dict, max_order: int = DEFAULT_CLOSURE_BOUND, name: str | None = None) -> FiniteGroup:
     """Build a group from a {"table": ...} or {"permutations": ...} description."""
-    if "table" in spec:
-        return FiniteGroup(spec["table"], name=name)
-    if "permutations" in spec:
-        return from_permutations(spec["permutations"], max_order=max_order, name=name)
+    try:
+        if "table" in spec:
+            return FiniteGroup(spec["table"], name=name)
+        if "permutations" in spec:
+            return from_permutations(spec["permutations"], max_order=max_order, name=name)
+    except InputError as exc:
+        raise InputError(f"group {name!r}: {exc}") from exc
     raise InputError("group description needs a 'table' or 'permutations' key")
 
 
@@ -210,12 +200,11 @@ def from_permutations(
     """
     if not perms:
         raise InputError("at least one permutation generator is required")
-    degree = len(perms[0])
-    gens = []
-    for p in perms:
-        if len(p) != degree or sorted(p) != list(range(degree)):
+    gens = [integer_tuple(p, "permutation entries") for p in perms]
+    degree = len(gens[0])
+    for p in gens:
+        if sorted(p) != list(range(degree)):
             raise InputError(f"{p!r} is not a permutation of 0..{degree - 1}")
-        gens.append(tuple(int(x) for x in p))
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
@@ -360,7 +349,7 @@ class Subgroup:
     generator: int | None = None
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted(set(int(x) for x in self.elements)))
+        elems = tuple(sorted(set(integer_tuple(self.elements, "subgroup elements"))))
         object.__setattr__(self, "elements", elems)
         if elems and not 0 <= elems[0] <= elems[-1] < self.parent.order:
             raise InvalidSubgroup(f"subgroup elements must lie in 0..{self.parent.order - 1}")
@@ -457,7 +446,7 @@ class GroupHom:
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> None:
         if len(images) != domain.order:
             raise InvalidHomomorphism("image table length does not match the domain order")
-        imgs = tuple(int(x) for x in images)
+        imgs = integer_tuple(images, "image indices")
         for x in imgs:
             if not 0 <= x < codomain.order:
                 raise InvalidHomomorphism(f"image index {x} out of range")

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing, SizeBound
-from .finab import FinAb
+from .finab import FinAb, integer_array, integer_tuple
 from .groups import Abelianization, FiniteGroup, Subgroup, abelianization, memo
 
 # The int64 arithmetic of ``cochain`` and ``linalg`` works on entries
@@ -25,30 +25,16 @@ PRODUCT_SUM_BOUND = 1 << 62
 def _residues(values, shape: tuple[int, ...], moduli: Sequence, what: str) -> np.ndarray | None:
     """``values`` as a read-only int64 array of ``shape`` reduced mod ``moduli``
     (broadcast against it), or None when ``values`` does not have ``shape``.
-
-    Integers of any size reduce exactly, as Python ints in an object array;
-    a float, a bool or any other entry raises InputError, so nothing is
-    truncated.  An int64 array passes without a scan.
+    ``finab.integer_array`` refuses every entry that is not an integer, and
+    integers past int64 reduce exactly, as Python ints.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        raw = values
-    else:
-        try:
-            raw = np.array(values, dtype=object)
-        except ValueError:  # sub-arrays of different shapes
-            return None
-    if raw.shape != shape:
+    raw = integer_array(values, what, len(shape))
+    if raw is None or raw.shape != shape:
         # Empty lists lose their trailing axes.
-        if raw.size or raw.shape != shape[: raw.ndim]:
+        if raw is None or raw.size or raw.shape != shape[: raw.ndim]:
             return None
         raw = raw.reshape(shape)
-    if raw.dtype == np.int64:
-        out = raw % np.asarray(moduli, dtype=np.int64)
-    else:
-        for x in raw.flat:
-            if type(x) is not int and not isinstance(x, np.integer):
-                raise InputError(f"{what} must be integers, got {x!r}")
-        out = (raw % np.asarray(moduli, dtype=object)).astype(np.int64)
+    out = (raw % np.asarray(moduli, dtype=raw.dtype)).astype(np.int64, copy=False)
     out.flags.writeable = False
     return out
 
@@ -77,9 +63,10 @@ class GModule:
         if e >= EXPONENT_BOUND or k * e * e >= PRODUCT_SUM_BOUND:
             raise SizeBound(f"carrier {list(carrier.factors)} is past the int64 cochain bounds")
         if action is None or isinstance(action, Mapping):
+            action = action or {}
             mats: list = [np.eye(k, dtype=np.int64).tolist()] * n
-            for key, mat in (action or {}).items():
-                if (type(key) is not int and not isinstance(key, np.integer)) or not 0 <= key < n:
+            for key, mat in zip(integer_tuple(action, "action keys"), action.values()):
+                if not 0 <= key < n:
                     raise InputError(f"action key {key!r} is not an element of a group of order {n}")
                 mats[key] = mat
             action = mats
@@ -143,7 +130,7 @@ class GModule:
 
 
 def trivial_module(group: FiniteGroup, factors: Sequence[int], name: str | None = None) -> GModule:
-    return GModule(group, FinAb(tuple(factors)), None, name=name)
+    return GModule(group, FinAb(factors), None, name=name)
 
 
 def cyclic_module(
@@ -153,14 +140,12 @@ def cyclic_module(
     name: str | None = None,
 ) -> GModule:
     """Z/modulus with each element g acting by the unit character[g]."""
+    (modulus,) = integer_tuple((modulus,), "cyclic module moduli")
     if modulus < 2:
         raise InputError("cyclic module modulus must be >= 2")
     action = None
     if character:
-        reduced = _residues(list(character.values()), (len(character),), [modulus], "character values")
-        if reduced is None:
-            raise InputError("character values must be integers")
-        units = reduced.tolist()
+        units = _residues(list(character.values()), (len(character),), [modulus], "character values").tolist()
         for u in units:
             if gcd(u, modulus) != 1:
                 raise InputError(f"character value {u} is not a unit mod {modulus}")

@@ -282,7 +282,12 @@ MALFORMED = {
     "projection-float": _set(["extensions", "E", "projection", 1], 1.5),
     "injection-float": _set(["extensions", "E", "injection", 1], 4.0),
     "table-float": _set(["groups", "G", "table", 1, 1], 2.0),
+    "table-half": _set(["groups", "G", "table", 1, 1], 0.5),
+    "table-bool": _set(["groups", "G", "table", 1, 0], True),
+    "table-string": _set(["groups", "G", "table", 1, 1], "0"),
     "permutations-float": _set(["groups", "P"], {"permutations": [[1.0, 0]]}),
+    "permutations-bool": _set(["groups", "P"], {"permutations": [[True, 0]]}),
+    "permutations-string": _set(["groups", "P"], {"permutations": [["1", "0"]]}),
     "invariant-number": _set(["model", "places", 0, "inv"], [3]),
     "invariant-signed-denominator": _set(["model", "places", 0, "inv"], ["1/-2"]),
     "invariant-non-ascii-digit": _set(["model", "places", 0, "inv"], ["\u0661/2"]),

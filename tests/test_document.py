@@ -255,9 +255,9 @@ def test_canonical_json_on_a_circular_tree():
 
 
 def test_integers_fast_path_keeps_the_messages():
-    from gerbes.document import _integers
+    from gerbes.finab import integer_tuple
 
-    assert _integers([3, -1, 2**70], "f") == [3, -1, 2**70]
+    assert integer_tuple([3, -1, 2**70], "f") == (3, -1, 2**70)
     for bad, shown in (([1, True], "True"), ([1, 2.0], "2.0"), ([1, "2"], "'2'"), ("12", "'1'")):
-        with pytest.raises(InputError, match=f"f must be an integer, got {shown}"):
-            _integers(bad, "f")
+        with pytest.raises(InputError, match=f"f must be integers, got {shown}"):
+            integer_tuple(bad, "f")

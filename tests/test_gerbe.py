@@ -309,6 +309,13 @@ def test_verify_factorization_matrix():
     assert seen_nonzero
 
 
+def test_verify_factorization_computes_sha_once():
+    """Both sides pair against Sha^1 of one dual module, computed once."""
+    for name, ext, model in thm41_fixture_matrix():
+        rep = verify_factorization(ext, model)
+        assert rep.via_extension.sha is rep.via_pushout.sha, name
+
+
 def test_mh_requires_valid_model():
     from gerbes.errors import ModelAxiomFailure
     from gerbes.fixtures import bad_reciprocity_model

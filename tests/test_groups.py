@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gerbes.errors import (
@@ -223,3 +224,64 @@ def test_direct_product_and_named_groups():
     assert commutator_subgroup(sl).order == 120
     g = direct_product(cyclic_group(2), cyclic_group(3))
     assert g.order == 6 and g.is_abelian
+
+
+def test_non_integer_inputs_are_refused_not_truncated():
+    """Floats, bools, strings and None are refused wherever the group layer
+    takes integers; numpy integers and integers past int64 take the same
+    paths as Python ints."""
+    from gerbes.finab import FinAb, QmodZ
+    from gerbes.modules import cyclic_module, trivial_module
+
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    probes = [
+        lambda: FiniteGroup([[0, 1], [1, 0.5]]),
+        lambda: FiniteGroup([[0, "1"], ["1", 0]]),
+        lambda: FiniteGroup([[0, 1], [True, 0]]),
+        lambda: FiniteGroup([[0, 1], [1, None]]),
+        lambda: FiniteGroup(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        lambda: build_group({"table": [[0, 1], [1, 0.0]]}, name="G"),
+        lambda: from_permutations([[1.0, 0]]),
+        lambda: from_permutations([[True, 0]]),
+        lambda: from_permutations([["1", 0]]),
+        lambda: FinAb((2.5,)),
+        lambda: FinAb((4.0,)),
+        lambda: FinAb(("4",)),
+        lambda: FinAb((2, None)),
+        lambda: trivial_module(c4, (2.0,)),
+        lambda: QmodZ.make(0.5, 2),
+        lambda: QmodZ.make(1, True),
+        lambda: GroupHom(c4, c4, [0, 1.5, 2, 3]),
+        lambda: GroupHom(c2, c2, [False, True]),
+        lambda: GroupHom(c2, c2, ["0", "1"]),
+        lambda: Subgroup(c4, (0, 2.7)),
+        lambda: Subgroup(c4, (False, 2)),
+        lambda: Subgroup(c4, ("0",)),
+        lambda: cyclic_module(c4, "4"),
+        lambda: cyclic_module(c4, 4.0),
+    ]
+    for i, probe in enumerate(probes):
+        with pytest.raises(InputError):
+            probe()
+            pytest.fail(f"probe {i} was accepted")
+    with pytest.raises(InputError, match="group 'G': table entries must be integers, got 0.0"):
+        build_group({"table": [[0, 1], [1, 0.0]]}, name="G")
+
+    z2 = FiniteGroup(np.array([[0, 1], [1, 0]]))
+    assert z2.table == ((0, 1), (1, 0)) and type(z2.table[1][0]) is int
+    assert FiniteGroup([[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]]).table == z2.table
+    with pytest.raises(InputError, match="table entry 1180591620717411303424 out of range"):
+        FiniteGroup([[0, 1], [1, 2**70]])
+    with pytest.raises(InvalidSubgroup):
+        Subgroup(c4, (0, 2**70))
+    with pytest.raises(InvalidHomomorphism, match="out of range"):
+        GroupHom(c2, c2, [0, 2**70])
+    assert Subgroup(c4, (np.int64(2), 0)).elements == (0, 2)
+    assert GroupHom(c2, c2, np.array([0, 1])).images == (0, 1)
+    assert from_permutations([np.array([1, 0])]).order == 2
+    factors = FinAb((np.int64(4),)).factors
+    assert factors == (4,) and type(factors[0]) is int
+    assert FinAb([2, 4]).factors == (2, 4) and hash(FinAb([2, 4])) == hash(FinAb((2, 4)))
+    assert FinAb((2**70,)).factors == (2**70,)
+    assert QmodZ.make(np.int64(3), 2) == QmodZ(1, 2)
+    assert cyclic_module(c2, np.int64(4)).carrier == FinAb((4,))

@@ -2,7 +2,7 @@ import json
 from importlib import resources
 
 from gerbes.document import group_json, model_json
-from gerbes.search import find_mh_witness, find_sha_module_witness
+from witness_search import find_mh_witness, find_sha_module_witness
 
 
 def test_sha_witness_search_is_reproducible():

@@ -1,7 +1,6 @@
-"""Witness searches: the fixture-discovery side of the package.
+"""Witness searches: the scans that found the frozen regression fixtures.
 
-These scans found the frozen regression fixtures; they are kept so the
-discovery is reproducible.  Both searches are deterministic: candidates are
+``test_search.py`` reruns them, so the discovery stays reproducible.  Both searches are deterministic: candidates are
 enumerated in a fixed order and the first witness wins.
 """
 
@@ -14,13 +13,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import ArithmeticModel, Place, ShaResult, search_inv_assignments, sha
-from .cochain import Cochain, cohomology, restriction
-from .errors import GerbesError, InputError, NotLocallyNeutral
-from .finab import FinAb, QmodZ
-from .gerbe import BMFunctional, GerbeExtension, brauer_manin, extension_from_cocycle
-from .groups import Subgroup, cyclic_group, klein_four_group
-from .modules import GModule, cyclic_module, trivial_module
+from gerbes.arith import ArithmeticModel, Place, ShaResult, search_inv_assignments, sha
+from gerbes.cochain import Cochain, cohomology, restriction
+from gerbes.errors import GerbesError, InputError, NotLocallyNeutral
+from gerbes.finab import FinAb, QmodZ
+from gerbes.gerbe import BMFunctional, GerbeExtension, brauer_manin, extension_from_cocycle
+from gerbes.groups import Subgroup, cyclic_group, klein_four_group
+from gerbes.modules import GModule, cyclic_module, trivial_module
 
 
 def _invariant_factor_chains(max_order: int) -> list[tuple[int, ...]]:
