@@ -34,22 +34,24 @@ fraction strings, never floats.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .arith import ArithmeticModel, AxiomReport, Place, ShaResult
 from .cochain import Cochain, CohomologyGroup
-from .errors import InputError, SizeBound
+from .errors import GerbesError, InputError, SizeBound
 from .finab import FinAb, QmodZ
 from .gerbe import BMFunctional, BMTrace, FactorizationReport, GerbeExtension
 from .groups import DEFAULT_CLOSURE_BOUND, FiniteGroup, GroupHom, Subgroup, build_group
 from .modules import GModule, cyclic_module
 
 _INT = {int}
+_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, KeyError)
 
 
 @dataclass
@@ -98,7 +100,7 @@ def load_document(path: str, max_group_order: int = DEFAULT_CLOSURE_BOUND) -> Do
 
 def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_BOUND) -> Document:
     """Resolve a raw document; a malformed entry raises InputError, or the
-    GerbesError of the validation it fails (a table, subgroup or map).
+    GerbesError of the validation it fails, with its entity named (``_entity``).
 
     Each group that acts on coefficients (module groups, extension
     quotients, the model group) must have order at most
@@ -113,23 +115,21 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
         if key not in known:
             raise InputError(f"unknown top-level section {key!r}")
     closure_bound = max(max_group_order, DEFAULT_CLOSURE_BOUND)
+    groups, modules, extensions, model = {}, {}, {}, None
     try:
-        groups = {
-            name: build_group(spec, max_order=closure_bound, name=name)
-            for name, spec in (raw.get("groups") or {}).items()
-        }
-        modules = {
-            name: _parse_module(name, spec, groups, max_group_order)
-            for name, spec in (raw.get("modules") or {}).items()
-        }
-        extensions = {
-            name: _parse_extension(name, spec, groups, max_group_order)
-            for name, spec in (raw.get("extensions") or {}).items()
-        }
-        model = None
+        for name, spec in (raw.get("groups") or {}).items():
+            with _entity(f"group {name!r}"):
+                groups[name] = build_group(spec, max_order=closure_bound, name=name)
+        for name, spec in (raw.get("modules") or {}).items():
+            with _entity(f"module {name!r}"):
+                modules[name] = _parse_module(name, spec, groups, max_group_order)
+        for name, spec in (raw.get("extensions") or {}).items():
+            with _entity(f"extension {name!r}"):
+                extensions[name] = _parse_extension(spec, groups, max_group_order)
         if raw.get("model") is not None:
-            model = _parse_model(raw["model"], groups, max_group_order)
-    except (TypeError, ValueError, AttributeError, IndexError, KeyError) as exc:
+            with _entity("model"):
+                model = _parse_model(raw["model"], groups, max_group_order)
+    except _MALFORMED as exc:  # the shape of a section, such as "groups": 5
         raise InputError(f"malformed document: {type(exc).__name__}: {exc}") from exc
     tasks = raw.get("tasks") or {}
     if not isinstance(tasks, dict) or not all(isinstance(t, dict) for t in tasks.values()):
@@ -141,6 +141,20 @@ def parse_document(raw: dict[str, Any], max_group_order: int = DEFAULT_CLOSURE_B
         if "degree" in task:
             _integer(task["degree"], f"task {command!r} degree")
     return Document(groups, modules, extensions, model, tasks)
+
+
+@contextmanager
+def _entity(label: str) -> Iterator[None]:
+    """Put ``label`` in front of the message of a GerbesError raised inside, keeping
+    its type and so its exit code; a ``_MALFORMED`` error of a spec becomes InputError.
+    Labels nest: a place's refusal reads ``model: place 'v0': ...``."""
+    try:
+        yield
+    except GerbesError as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
+    except _MALFORMED as exc:
+        raise InputError(f"{label}: malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def _integer(value: Any, field: str) -> int:
@@ -179,54 +193,48 @@ def _acting_group(groups: dict[str, FiniteGroup], name: str, bound: int) -> Fini
 
 def _parse_module(name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int) -> GModule:
     if "group" not in spec:
-        raise InputError(f"module {name!r} is missing its 'group' reference")
+        raise InputError("missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
-    action = {_element(k, f"module {name!r} action"): mat for k, mat in (spec.get("action") or {}).items()}
-    try:
-        return GModule(group, FinAb(spec.get("factors", [])), action or None, name=name)
-    except InputError as exc:
-        raise InputError(f"module {name!r}: {exc}") from exc
+    action = {_element(k, "action"): mat for k, mat in (spec.get("action") or {}).items()}
+    return GModule(group, FinAb(spec.get("factors", [])), action or None, name=name)
 
 
-def _parse_extension(
-    name: str, spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int
-) -> GerbeExtension:
+def _parse_extension(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int) -> GerbeExtension:
     for key in ("total", "quotient", "kernel", "projection", "injection"):
         if key not in spec:
-            raise InputError(f"extension {name!r} is missing {key!r}")
+            raise InputError(f"missing {key!r}")
     total = _lookup(groups, spec["total"], "group")
     quotient = _acting_group(groups, spec["quotient"], bound)
     kernel = _lookup(groups, spec["kernel"], "group")
-    try:
+    with _entity("projection"):
         proj = GroupHom(total, quotient, spec["projection"])
+    with _entity("injection"):
         incl = GroupHom(kernel, total, spec["injection"])
-        return GerbeExtension(proj, incl)
-    except InputError as exc:
-        raise InputError(f"extension {name!r}: {exc}") from exc
+    return GerbeExtension(proj, incl)
 
 
 def _parse_model(spec: dict[str, Any], groups: dict[str, FiniteGroup], bound: int) -> ArithmeticModel:
     if "group" not in spec:
-        raise InputError("model is missing its 'group' reference")
+        raise InputError("missing its 'group' reference")
     group = _acting_group(groups, spec["group"], bound)
-    mu_spec = spec.get("mu") or {}
-    modulus = _integer(mu_spec.get("modulus", 0), "model mu modulus")
-    character = {_element(k, "model mu character"): v for k, v in (mu_spec.get("character") or {}).items()}
-    mu = cyclic_module(group, modulus, character or None, name="mu")
+    with _entity("mu"):
+        mu_spec = spec.get("mu") or {}
+        character = {_element(k, "character"): v for k, v in (mu_spec.get("character") or {}).items()}
+        mu = cyclic_module(group, mu_spec.get("modulus", 0), character or None, name="mu")
     places = []
     for i, pspec in enumerate(spec.get("places") or []):
         pname = pspec.get("name", f"v{i}")
         if not isinstance(pname, str):
             raise InputError(f"place {i} name must be a string, got {pname!r}")
-        sub = Subgroup(group, pspec.get("subgroup", [0]))
-        raw_inv = pspec.get("inv", [])
-        if not isinstance(raw_inv, list):
-            raise InputError(f"place {pname!r} inv must be a list, got {raw_inv!r}")
-        inv = tuple(_fraction(v, f"place {pname!r} inv") for v in raw_inv)
-        places.append(Place(pname, sub, inv))
+        with _entity(f"place {pname!r}"):
+            sub = Subgroup(group, pspec.get("subgroup", [0]))
+            raw_inv = pspec.get("inv", [])
+            if not isinstance(raw_inv, list):
+                raise InputError(f"inv must be a list, got {raw_inv!r}")
+            places.append(Place(pname, sub, tuple(_fraction(v, "inv") for v in raw_inv)))
     complete = spec.get("chebotarev_complete", False)
     if not isinstance(complete, bool):
-        raise InputError("model 'chebotarev_complete' must be true or false")
+        raise InputError("'chebotarev_complete' must be true or false")
     return ArithmeticModel(group, mu, places, chebotarev_complete=complete)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,10 +26,10 @@ def integer_array(values: Any, what: str, ndim: int = 1) -> np.ndarray | None:
     ints, past int64), or None when it does not nest evenly ``ndim`` deep.
     An entry whose type is not int or a numpy integer type (a float, bool,
     string or None) raises InputError naming ``what`` and the entry: nothing is
-    truncated.  An int64 array passes without a scan, and nested lists take one.
+    truncated.  An int64 array ``ndim`` deep passes without a scan, and nested lists take one.
     """
     if isinstance(values, np.ndarray):
-        if values.dtype == np.int64:
+        if values.dtype == np.int64 and values.ndim == ndim:
             return values
         values = values.tolist()
     try:
@@ -45,7 +45,9 @@ def integer_array(values: Any, what: str, ndim: int = 1) -> np.ndarray | None:
 
 
 def integer_tuple(values: Any, what: str) -> tuple[int, ...]:
-    """A flat iterable of integers as a tuple of Python ints, by ``integer_array``."""
+    """A flat iterable of integers, not a Mapping, as a tuple of Python ints, by ``integer_array``."""
+    if not isinstance(values, (list, tuple)) and (isinstance(values, Mapping) or not hasattr(values, "__iter__")):
+        raise InputError(f"{what} must be a list of integers, got {values!r}")
     return tuple(integer_array(list(values), what).tolist())
 
 
@@ -102,8 +104,6 @@ class QmodZ:
     den: int
 
     def __post_init__(self) -> None:
-        if self.den <= 0:
-            raise InputError("denominator must be positive")
         if not (0 <= self.num < self.den) or gcd(self.num, self.den) != 1:
             raise InputError(f"{self.num}/{self.den} is not in canonical reduced form")
 
@@ -121,14 +121,6 @@ class QmodZ:
     @staticmethod
     def zero() -> QmodZ:
         return QmodZ(0, 1)
-
-    @staticmethod
-    def parse(text: str) -> QmodZ:
-        s = text.strip()
-        if "/" in s:
-            a, b = s.split("/", 1)
-            return QmodZ.make(int(a), int(b))
-        return QmodZ.make(int(s), 1)
 
     def __add__(self, other: QmodZ) -> QmodZ:
         return QmodZ.make(self.num * other.den + other.num * self.den, self.den * other.den)

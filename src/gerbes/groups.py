@@ -88,8 +88,10 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
-        short = next((i for i, row in enumerate(table) if len(row) != n), n)
-        arr = integer_array(table[:short], "table entries", 2).reshape(short, n)
+        short = next((i for i, row in enumerate(table) if hasattr(row, "__len__") and len(row) != n), n)
+        arr = integer_array(table[:short], "table entries", 2)
+        if arr is None:
+            raise InputError("table rows must be lists of integers")
         bad = (arr < 0) | (arr >= n)
         if bad.any():
             raise InputError(f"table entry {int(arr.flat[bad.argmax()])} out of range [0, {n})")
@@ -177,13 +179,10 @@ class FiniteGroup:
 
 def build_group(spec: dict, max_order: int = DEFAULT_CLOSURE_BOUND, name: str | None = None) -> FiniteGroup:
     """Build a group from a {"table": ...} or {"permutations": ...} description."""
-    try:
-        if "table" in spec:
-            return FiniteGroup(spec["table"], name=name)
-        if "permutations" in spec:
-            return from_permutations(spec["permutations"], max_order=max_order, name=name)
-    except InputError as exc:
-        raise InputError(f"group {name!r}: {exc}") from exc
+    if "table" in spec:
+        return FiniteGroup(spec["table"], name=name)
+    if "permutations" in spec:
+        return from_permutations(spec["permutations"], max_order=max_order, name=name)
     raise InputError("group description needs a 'table' or 'permutations' key")
 
 

@@ -65,7 +65,7 @@ class GModule:
         if action is None or isinstance(action, Mapping):
             action = action or {}
             mats: list = [np.eye(k, dtype=np.int64).tolist()] * n
-            for key, mat in zip(integer_tuple(action, "action keys"), action.values()):
+            for key, mat in zip(integer_tuple(list(action), "action keys"), action.values()):
                 if not 0 <= key < n:
                     raise InputError(f"action key {key!r} is not an element of a group of order {n}")
                 mats[key] = mat

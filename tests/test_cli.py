@@ -248,7 +248,24 @@ def _set(path, value):
         for key in head:
             doc = doc[key]
         doc[last] = value
+    mutate.path = path
     return mutate
+
+
+def _named(path):
+    """The entity that a refusal of the witness document's field at ``path``
+    must name, as ``gerbes.document`` labels it."""
+    section, *rest = path
+    if section == "tasks":
+        return "task"
+    if section != "model":
+        maps = [key for key in rest[1:2] if key in ("projection", "injection")]
+        return ": ".join([f"{section[:-1]} {rest[0]!r}", *maps])
+    if rest[:1] == ["mu"]:
+        return "model: mu"
+    if rest[:1] == ["places"] and len(rest) > 2:
+        return f"model: place {rest[1]}" if rest[2] == "name" else f"model: place 'v{rest[1]}'"
+    return "model"
 
 
 MALFORMED = {
@@ -295,6 +312,13 @@ MALFORMED = {
     "invariant-string": _set(["model", "places", 0, "inv"], "0"),
     "invariant-object": _set(["model", "places", 0, "inv"], {"0": 1}),
     "factor-huge": _set(["modules", "M", "factors"], [10**30]),
+    "table-non-associative": _set(["groups", "Q"], {"table": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}),
+    "permutations-past-bound": _set(
+        ["groups", "P"], {"permutations": [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]}
+    ),
+    "subgroup-not-closed": _set(["model", "places", 1, "subgroup"], [0, 3]),
+    "projection-not-homomorphism": _set(["extensions", "E", "projection", 1], 2),
+    "injection-not-homomorphism": _set(["extensions", "E", "injection", 1], 0),
 }
 
 
@@ -305,7 +329,9 @@ def test_malformed_document_exits_2(probe, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["gerbe", "mh", str(path), "--expect-zero"]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert _named(MALFORMED[probe].path) in err, err
 
 
 def _stdout(doc, argv, tmp_path, capsys):
@@ -356,6 +382,20 @@ def test_internal_errors_exit_4(witness_path, monkeypatch, capsys):
     monkeypatch.setattr(gerbes.cli, "sha", bound)
     assert run(["sha", witness_path]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_a_named_refusal_keeps_its_exit_code(witness_path, monkeypatch, capsys):
+    """The entity label goes in front of a refusal's message and leaves its
+    type alone, so an internal error while building a map still exits 4."""
+    import gerbes.document
+    from gerbes.errors import GerbesError
+
+    def fail(*args, **kwargs):
+        raise GerbesError("x")
+
+    monkeypatch.setattr(gerbes.document, "GroupHom", fail)
+    assert run(["gerbe", "mh", witness_path]) == 4
+    assert "internal error: extension 'E': projection: x" in capsys.readouterr().err
 
 
 

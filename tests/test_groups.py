@@ -228,8 +228,9 @@ def test_direct_product_and_named_groups():
 
 def test_non_integer_inputs_are_refused_not_truncated():
     """Floats, bools, strings and None are refused wherever the group layer
-    takes integers; numpy integers and integers past int64 take the same
-    paths as Python ints."""
+    takes integers, and so are shapes that are not lists of them; numpy
+    integers and integers past int64 take the same paths as Python ints."""
+    from gerbes.document import parse_document
     from gerbes.finab import FinAb, QmodZ
     from gerbes.modules import cyclic_module, trivial_module
 
@@ -259,13 +260,20 @@ def test_non_integer_inputs_are_refused_not_truncated():
         lambda: Subgroup(c4, ("0",)),
         lambda: cyclic_module(c4, "4"),
         lambda: cyclic_module(c4, 4.0),
+        lambda: FiniteGroup([{0: 0}]),
+        lambda: FiniteGroup("ab"),
+        lambda: FiniteGroup([5]),
+        lambda: from_permutations([5]),
+        lambda: Subgroup(c4, 3),
+        lambda: FinAb(4),
+        lambda: FiniteGroup(np.array([0])),
     ]
     for i, probe in enumerate(probes):
         with pytest.raises(InputError):
             probe()
             pytest.fail(f"probe {i} was accepted")
     with pytest.raises(InputError, match="group 'G': table entries must be integers, got 0.0"):
-        build_group({"table": [[0, 1], [1, 0.0]]}, name="G")
+        parse_document({"groups": {"G": {"table": [[0, 1], [1, 0.0]]}}})
 
     z2 = FiniteGroup(np.array([[0, 1], [1, 0]]))
     assert z2.table == ((0, 1), (1, 0)) and type(z2.table[1][0]) is int
@@ -285,3 +293,25 @@ def test_non_integer_inputs_are_refused_not_truncated():
     assert FinAb((2**70,)).factors == (2**70,)
     assert QmodZ.make(np.int64(3), 2) == QmodZ(1, 2)
     assert cyclic_module(c2, np.int64(4)).carrier == FinAb((4,))
+
+
+def test_a_mapping_is_not_read_as_its_keys():
+    """An image table, factor list or subgroup given as a dict is refused:
+    iterating it would read its keys and drop what it maps them to."""
+    from gerbes.finab import FinAb
+    from gerbes.modules import GModule
+
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    probes = [
+        lambda: GroupHom(c4, c4, {0: 0, 1: 3, 2: 2, 3: 1}),  # inversion, not the identity
+        lambda: GroupHom(c2, c2, {0: 0, 1: 0}),  # the trivial map, not the identity
+        lambda: FinAb({4: "x"}),
+        lambda: Subgroup(c4, {0: 1, 2: 3}),
+    ]
+    for i, probe in enumerate(probes):
+        with pytest.raises(InputError, match="must be a list of integers"):
+            probe()
+            pytest.fail(f"probe {i} was accepted")
+    # A module's action is a Mapping from elements to matrices, read as one.
+    inversion = GModule(c4, FinAb((4,)), {1: [[3]], 3: [[3]]})
+    assert inversion.action[:, 0, 0].tolist() == [1, 3, 1, 3]
