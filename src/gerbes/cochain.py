@@ -56,6 +56,7 @@ from .errors import (
 from .groups import Subgroup, memo
 from .linalg import (
     Congruence,
+    _exact_product,
     howell_reduce_rows,
     howell_relations,
     kernel_mod,
@@ -591,31 +592,40 @@ class CohomologyGroup:
                 f"of {bits} bits, past the bound of {_KERNEL_COLUMN_BOUND} on their product"
             )
         e = _modulus(module)
-        kernel = kernel_mod(memo(module, degree, _scaled_differential, module, degree), e)
+        V, V_inv, m = kernel_mod(memo(module, degree, _scaled_differential, module, degree), e)
         # The cocycle lattice modulo [d_{n-1} | diag(carrier factors)], in
-        # kernel coordinates.
+        # the kernel coordinates diag(1/m) V_inv; exact, since the pivots of
+        # smith_quotient read these integers.
         relations = np.diag(np.tile(np.asarray(module.carrier.factors, dtype=object), q**degree))
         if degree >= 1:
             relations = np.hstack([_differential_matrix(module, degree - 1), relations])
-        self.factors, generators, reducers = smith_quotient(kernel.coordinates(relations), e * e)
+        coords = _exact_product(V_inv, relations)
+        m_col = m.astype(coords.dtype)[:, None]
+        if (coords % m_col).any():
+            raise GerbesError("relation is not in the kernel lattice")
+        self.factors, generators, reducers = smith_quotient(coords // m_col, e * e)
+        # Cochains are read mod the carrier factors, which divide e.
+        basis = np.mod(V, e).astype(np.int64) * m % e
         self.representatives = tuple(
             Cochain(module, degree, vec.reshape(-1, module.rank))
-            for vec in (kernel.basis @ generators).T
+            for vec in product_mod(basis, generators % e, e).T
         )
         # reduce(z) = reducers @ y mod the factors, for the kernel
-        # coordinates y = diag(1/m) V_inv z (m the kernel multipliers).
+        # coordinates y = diag(1/m) V_inv z.
         # Lemma: d_i divides reducers_ij e/m_j, so row i of the class
         # matrix, (e/d_i) reducers_i diag(1/m) V_inv, is an integer row.
         # Proof: a class depends on z only modulo the carrier factors, so
         # reduce(z + e w) = reduce(z) for every integer w.  In kernel
         # coordinates e w is diag(e/m) V_inv w, and V_inv is unimodular, so
         # V_inv w runs over all of Z^N and row i of reducers diag(e/m)
-        # vanishes mod d_i.  The division is checked all the same.
-        scaled = np.asarray([e // d for d in self.factors], dtype=object)[:, None] * reducers
-        if (scaled % kernel.multipliers).any():
+        # vanishes mod d_i.  The division is checked all the same.  Reducing
+        # reducers_ij mod d_i m_j first changes row i by multiples of e and
+        # keeps every entry below e m_j <= e^2, inside int64.
+        d = np.asarray(self.factors, dtype=np.int64)[:, None]
+        scaled = e // d * (reducers % (d * m))
+        if (scaled % m).any():
             raise GerbesError("class matrix row is not integral")
-        rows = (scaled // kernel.multipliers % e) @ (kernel.V_inv % e) % e
-        self.classes = rows.astype(np.int64)
+        self.classes = product_mod(scaled // m % e, np.mod(V_inv, e).astype(np.int64), e)
         self.classes.flags.writeable = False
         for i, rep in enumerate(self.representatives):
             want = tuple(1 if j == i else 0 for j in range(len(self.factors)))

@@ -9,7 +9,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GerbesError, InputError
+from .errors import InputError
 
 # Python's int and every numpy integer scalar type; bool and np.bool_ are not among them.
 _INTEGER_TYPES = {int} | {np.dtype(c).type for c in np.typecodes["AllInteger"]}
@@ -140,110 +140,3 @@ class QmodZ:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-
-@dataclass(frozen=True)
-class AbelianTable:
-    """Invariant-factor coordinates for an abelian multiplication table.
-
-    ``coords[x]`` are the coordinates of element ``x`` in ``group`` and
-    ``generators[i]`` is an element mapping to the i-th basis vector.
-    """
-
-    group: FinAb
-    coords: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
-
-
-def _element_orders(table: Sequence[Sequence[int]]) -> list[int]:
-    orders = []
-    for x in range(len(table)):
-        n, y = 1, x
-        while y != 0:
-            y = table[y][x]
-            n += 1
-        orders.append(n)
-    return orders
-
-
-def abelian_structure(table: Sequence[Sequence[int]]) -> AbelianTable:
-    """Decompose an abelian group given by its multiplication table.
-
-    Splits off a cyclic subgroup of maximal order, recurses on the quotient,
-    and lifts the quotient generators to true complements, so the returned
-    coordinate map is a genuine isomorphism onto the invariant-factor form.
-    The result is verified to be a bijective homomorphism before returning.
-    """
-    q = len(table)
-    if q == 1:
-        return AbelianTable(FinAb(()), ((),), ())
-
-    orders = _element_orders(table)
-    m1 = max(orders)
-    g1 = orders.index(m1)
-
-    # neg[x] via order loop; powers of g1 and discrete log within <g1>.
-    powers = [0]
-    for _ in range(m1 - 1):
-        powers.append(table[powers[-1]][g1])
-    dlog = {p: i for i, p in enumerate(powers)}
-    neg = [0] * q
-    for x in range(q):
-        y, prev = x, 0
-        while y != 0:
-            prev, y = y, table[y][x]
-        neg[x] = prev if x else 0
-
-    # Quotient by <g1>: represent each coset by its minimal element.
-    rep = [min(table[x][p] for p in powers) for x in range(q)]
-    reps = sorted(set(rep))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    qtable = [[rep_index[rep[table[a][b]]] for b in reps] for a in reps]
-    sub = abelian_structure(qtable)
-
-    # Lift quotient generators to elements of exact order (true complement).
-    lifted: list[int] = []
-    for gen_q, m_i in zip(sub.generators, sub.group.factors):
-        g = reps[gen_q]
-        acc = 0
-        for _ in range(m_i):
-            acc = table[acc][g]
-        d = dlog[acc]
-        if d % m_i:
-            raise GerbesError("abelian splitting failed; table is not a group")
-        s = (-(d // m_i)) % m1
-        adj = g
-        for _ in range(s):
-            adj = table[adj][g1]
-        lifted.append(adj)
-
-    factors = sub.group.factors + (m1,)
-    group = FinAb(factors)
-    coords: list[tuple[int, ...]] = []
-    for x in range(q):
-        partial = sub.coords[rep_index[rep[x]]]
-        r = x
-        for a_i, gen in zip(partial, lifted):
-            step = neg[gen]
-            for _ in range(a_i):
-                r = table[r][step]
-        if r not in dlog:
-            raise GerbesError("abelian splitting failed; residue outside the cyclic part")
-        coords.append(partial + (dlog[r],))
-
-    result = AbelianTable(group, tuple(coords), tuple(lifted) + (g1,))
-    _verify_abelian_structure(table, result)
-    return result
-
-
-def _verify_abelian_structure(table: Sequence[Sequence[int]], res: AbelianTable) -> None:
-    q = len(table)
-    if len(set(res.coords)) != q or res.group.order != q:
-        raise GerbesError("abelian structure map is not bijective")
-    for x in range(q):
-        for y in range(q):
-            if res.coords[table[x][y]] != res.group.add(res.coords[x], res.coords[y]):
-                raise GerbesError("abelian structure map is not a homomorphism")
-    for i, gen in enumerate(res.generators):
-        if res.coords[gen] != res.group.basis_vector(i):
-            raise GerbesError("abelian structure generators do not match basis vectors")

@@ -25,7 +25,7 @@ from .errors import (
     NoInverse,
     NonAssociative,
 )
-from .finab import FinAb, abelian_structure, integer_array, integer_tuple
+from .finab import FinAb, integer_array, integer_tuple
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -85,6 +85,8 @@ class FiniteGroup:
         table: Sequence[Sequence[int]],
         name: str | None = None,
     ) -> None:
+        if not hasattr(table, "__len__"):
+            raise InputError(f"a group table must be a list of rows, got {table!r}")
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
@@ -156,12 +158,16 @@ class FiniteGroup:
         """a b a^-1 b^-1."""
         return self.table[self.conjugate(a, b)][self.inv[b]]
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
+    def powers(self, a: int) -> list[int]:
+        """a^0, a^1, ..., a^(n-1) for n the order of a."""
+        out, x = [0], a
         while x != 0:
+            out.append(x)
             x = self.table[x][a]
-            n += 1
-        return n
+        return out
+
+    def element_order(self, a: int) -> int:
+        return len(self.powers(a))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -197,8 +203,8 @@ def from_permutations(
     lexicographic order of their permutation tuples, so the table is
     reproducible regardless of generator order.
     """
-    if not perms:
-        raise InputError("at least one permutation generator is required")
+    if not isinstance(perms, (list, tuple)) or not perms:
+        raise InputError(f"permutation generators must be a non-empty list, got {perms!r}")
     gens = [integer_tuple(p, "permutation entries") for p in perms]
     degree = len(gens[0])
     for p in gens:
@@ -416,13 +422,7 @@ def cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """
     found: dict[tuple[int, ...], int] = {}
     for g in range(group.order):
-        elems = [0]
-        x = g
-        while x != 0:
-            elems.append(x)
-            x = group.table[x][g]
-        key = tuple(sorted(elems))
-        found.setdefault(key, g)
+        found.setdefault(tuple(sorted(group.powers(g))), g)
     return [
         Subgroup(group, key, generator=gen)
         for key, gen in sorted(found.items())
@@ -443,9 +443,9 @@ class GroupHom:
     """A validated homomorphism given by its per-element image table."""
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> None:
-        if len(images) != domain.order:
-            raise InvalidHomomorphism("image table length does not match the domain order")
         imgs = integer_tuple(images, "image indices")
+        if len(imgs) != domain.order:
+            raise InvalidHomomorphism("image table length does not match the domain order")
         for x in imgs:
             if not 0 <= x < codomain.order:
                 raise InvalidHomomorphism(f"image index {x} out of range")
@@ -477,7 +477,8 @@ class Abelianization:
     """G/[G,G] in invariant-factor form with the projection map.
 
     ``coords[x]`` projects element ``x``; ``generator_preimages[i]`` is an
-    element of G mapping to the i-th basis vector of ``target``.
+    element of G mapping to the i-th basis vector of ``target``.  For an
+    abelian G (``abelian_structure``) the projection is an isomorphism.
     """
 
     source: FiniteGroup
@@ -515,15 +516,78 @@ def quotient_group(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, t
     return quot, proj
 
 
+def abelian_structure(group: FiniteGroup) -> Abelianization:
+    """An abelian group in invariant-factor form: its own abelianization.
+
+    Splits off the cyclic subgroup of the first element g of maximal order,
+    decomposes the quotient, and lifts each quotient generator to an element
+    of the same order, so the coordinate map is an isomorphism.  It is
+    checked to be bijective, a homomorphism on the generators of
+    ``group.tree`` (its lemma) and to send the generators to basis vectors.
+    """
+    q = group.order
+    if q == 1:
+        return Abelianization(group, FinAb(()), ((),), ())
+    table = group.table
+    powers = max(map(group.powers, range(q)), key=len)
+    m1 = len(powers)
+    dlog = {p: i for i, p in enumerate(powers)}
+    factors: tuple[int, ...] = ()
+    partial: list[tuple[int, ...]] = [()] * q
+    lifted: list[int] = []
+    if m1 < q:
+        quot, proj = quotient_group(group, Subgroup(group, tuple(powers)))
+        sub = abelian_structure(quot)
+        factors, partial = sub.target.factors, [sub.coords[c] for c in proj]
+        # Cosets are labeled by their least element, which ``proj.index`` finds.
+        for gen_q, m_i in zip(sub.generator_preimages, factors):
+            g = proj.index(gen_q)
+            acc = 0
+            for _ in range(m_i):
+                acc = table[acc][g]
+            d = dlog[acc]
+            if d % m_i:
+                raise GerbesError("abelian splitting failed; table is not a group")
+            # g^m_i = g1^d, so g g1^s with s = -d/m_i mod m1 has order m_i.
+            lifted.append(table[g][powers[-(d // m_i) % m1]])
+
+    coords: list[tuple[int, ...]] = []
+    for x in range(q):
+        r = x
+        for a_i, gen in zip(partial[x], lifted):
+            for _ in range(a_i):
+                r = table[r][group.inv[gen]]
+        if r not in dlog:
+            raise GerbesError("abelian splitting failed; residue outside the cyclic part")
+        coords.append(partial[x] + (dlog[r],))
+    result = Abelianization(group, FinAb(factors + (m1,)), tuple(coords), (*lifted, powers[1]))
+    _check_abelian_structure(result)
+    return result
+
+
+def _check_abelian_structure(res: Abelianization) -> None:
+    """Raise unless ``res.coords`` is an isomorphism sending the generators to basis vectors."""
+    group, target, coords = res.source, res.target, res.coords
+    if len(set(coords)) != group.order or target.order != group.order:
+        raise GerbesError("abelian structure map is not bijective")
+    for s in group.tree[0]:
+        for a, row in enumerate(group.table):
+            if coords[row[s]] != target.add(coords[a], coords[s]):
+                raise GerbesError("abelian structure map is not a homomorphism")
+    for i, gen in enumerate(res.generator_preimages):
+        if coords[gen] != target.basis_vector(i):
+            raise GerbesError("abelian structure generators do not match basis vectors")
+
+
 def abelianization(group: FiniteGroup) -> Abelianization:
-    """G/[G,G] with its projection; the two order computations must agree."""
+    """G/[G,G] with its projection: the commutator quotient, then ``abelian_structure``.
+
+    The two order computations must agree.
+    """
     comm = commutator_subgroup(group)
     quot, proj = quotient_group(group, comm)
     if quot.order * comm.order != group.order:
         raise GerbesError("commutator index does not match the quotient order")
-    decomp = abelian_structure(quot.table)
-    coords = tuple(decomp.coords[proj[a]] for a in range(group.order))
-    pre = []
-    for gen_q in decomp.generators:
-        pre.append(proj.index(gen_q))
-    return Abelianization(group, decomp.group, coords, tuple(pre))
+    decomp = abelian_structure(quot)
+    coords = tuple(decomp.coords[p] for p in proj)
+    return Abelianization(group, decomp.target, coords, tuple(map(proj.index, decomp.generator_preimages)))

@@ -310,9 +310,9 @@ def smith_quotient(
     The caller guarantees that N = ``modulus`` kills the quotient, that is
     N Z^dim is inside L.  Returns the invariant factors d >= 2 of the
     quotient, the generator columns (from ``U_inv``) and the reducer rows
-    (from ``U``), both mod N: the class of y has coordinates
-    ``reducers @ y`` mod the factors, and the k-th generator column has
-    coordinates e_k.  Raises if some diagonal entry is 0 or does not divide
+    (from ``U``), both int64 in [0, N) for N below 2**63: the class of y
+    has coordinates ``reducers @ y`` mod the factors, and the k-th
+    generator column has coordinates e_k.  Raises if some diagonal entry is 0 or does not divide
     N, which N Z^dim inside L rules out.
 
     The diagonal comes from the exact pivot matrix; the transforms are
@@ -340,7 +340,7 @@ def smith_quotient(
         if not np.array_equal(product_mod(mat, inv, modulus), np.eye(len(mat), dtype=np.int64)):
             raise GerbesError("smith quotient transform inverse check failed")
     keep = [i for i, x in enumerate(diag) if x >= 2]
-    return tuple(diag[i] for i in keep), U_inv[:, keep].astype(object), U[keep].astype(object)
+    return tuple(diag[i] for i in keep), U_inv[:, keep].astype(np.int64), U[keep].astype(np.int64)
 
 
 def hermite_column_basis(generators: np.ndarray | Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
@@ -455,44 +455,25 @@ def howell_relations(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     return rows[~rows[:, :width].any(axis=1), width:]
 
 
-@dataclass(frozen=True)
-class LatticeKernel:
-    """K = {x in Z^cols : A x == 0 mod e}, with exact object arrays.
+def kernel_mod(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K = {x in Z^cols : a x == 0 mod e} as ``(V, V_inv, m)`` (rows may exceed columns freely).
 
-    The basis columns are V @ diag(m); coordinates come from V_inv.  V and
-    V_inv are exact, not reduced, and V_inv is the inverse of V.
-    """
-
-    basis: np.ndarray
-    V_inv: np.ndarray
-    multipliers: np.ndarray
-
-    def coordinates(self, x: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Coordinates in ``basis`` of a vector, or of each column of a matrix."""
-        y = _exact_product(self.V_inv, np.asarray(x))
-        m = self.multipliers.astype(y.dtype)
-        m = m if y.ndim == 1 else m[:, None]
-        if (y % m).any():
-            raise GerbesError("vector is not in the kernel lattice")
-        return y // m
-
-
-def kernel_mod(a: np.ndarray, e: int) -> LatticeKernel:
-    """Kernel lattice of ``a`` mod ``e`` (rows may exceed columns freely).
-
-    The Smith elimination of the Howell rows of ``a`` tracks V and V_inv
-    exactly and no U; m_j = e / gcd(d_j, e) for its diagonal d.  The result
-    is certified exactly: V V_inv = I, so V is unimodular; a V diag(m) == 0
-    mod e, so the basis spans a sublattice of K; and prod m_j equals
-    prod e / g_i over the Howell pivots g_i, which is the size of the row
-    span of ``a`` mod e and so the index of K in Z^cols.  A sublattice of
-    the same index is K itself.
+    The columns of V diag(m) are a basis of K, so x in K has the integer
+    coordinates diag(1/m) V_inv x.  V and V_inv are exact and inverse to
+    each other (int64, or object arrays of Python ints past int64), and m
+    is int64.  The Smith elimination of the Howell rows of ``a`` tracks V
+    and V_inv and no U; m_j = e / gcd(d_j, e) for its diagonal d.  The
+    result is certified exactly: V V_inv = I, so V is unimodular;
+    a V diag(m) == 0 mod e, so the basis spans a sublattice of K; and
+    prod m_j equals prod e / g_i over the Howell pivots g_i, which is the
+    size of the row span of ``a`` mod e and so the index of K in Z^cols.
+    A sublattice of the same index is K itself.
     """
     cols = int(a.shape[1])
     reduced = howell_reduce_rows(a, e)
     if not len(reduced):
-        ident = np.identity(cols, dtype=object)
-        return LatticeKernel(ident, ident, np.ones(cols, dtype=object))
+        ident = np.identity(cols, dtype=np.int64)
+        return ident, ident, np.ones(cols, dtype=np.int64)
     diag, _, (V, V_inv) = _smith(reduced, left=False)
     diag += (0,) * (cols - len(diag))
     mult = np.asarray([e // gcd(d, e) for d in diag], dtype=np.int64)
@@ -503,7 +484,7 @@ def kernel_mod(a: np.ndarray, e: int) -> LatticeKernel:
     pivots = reduced[np.arange(len(reduced)), (reduced != 0).argmax(axis=1)]
     if prod(int(x) for x in mult) != prod(e // int(g) for g in pivots):
         raise GerbesError("kernel basis has the wrong index")
-    return LatticeKernel(V.astype(object) * mult, V_inv.astype(object), mult.astype(object))
+    return V, V_inv, mult
 
 
 @dataclass(frozen=True)

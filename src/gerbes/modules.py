@@ -70,7 +70,7 @@ class GModule:
                     raise InputError(f"action key {key!r} is not an element of a group of order {n}")
                 mats[key] = mat
             action = mats
-        if len(action) != n:
+        if not hasattr(action, "__len__") or len(action) != n:
             raise InputError("action must give one matrix per group element")
         given = _residues(action, (n, k, k), [(d,) for d in carrier.factors], "action entries")
         if given is None:
@@ -143,6 +143,8 @@ def cyclic_module(
     (modulus,) = integer_tuple((modulus,), "cyclic module moduli")
     if modulus < 2:
         raise InputError("cyclic module modulus must be >= 2")
+    if character is not None and not isinstance(character, Mapping):
+        raise InputError(f"a character must map group elements to units, got {character!r}")
     action = None
     if character:
         units = _residues(list(character.values()), (len(character),), [modulus], "character values").tolist()

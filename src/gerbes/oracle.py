@@ -30,8 +30,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InputError, SizeBound
-from .finab import abelian_structure
-from .groups import FiniteGroup
+from .groups import FiniteGroup, abelian_structure
 
 ENUMERATION_BOUND = 50_000
 
@@ -89,7 +88,7 @@ def _structure_of_quotient(elements: list[tuple], sub: set, e: int, k: int) -> t
         for b in sub:
             index[add(r, b)] = i
     table = [[index[add(a, b)] for b in reps] for a in reps]
-    return abelian_structure(table).group.factors
+    return abelian_structure(FiniteGroup(table)).target.factors
 
 
 def _all_vectors(e: int, n: int) -> np.ndarray:

@@ -558,15 +558,15 @@ def test_class_matrix_contract(monkeypatch):
     """A built group keeps only its factors, representatives and int64 class
     matrix; reduce and functional need neither solves nor kernel coordinates."""
     from gerbes import cochain
-    from gerbes.linalg import LatticeKernel
 
     groups = [cochain.CohomologyGroup(module, deg) for module in _ARITH_MODULES for deg in (0, 1, 2)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("reached the Smith data after construction")
 
-    monkeypatch.setattr(cochain, "solve_mod", forbidden)
-    monkeypatch.setattr(LatticeKernel, "coordinates", forbidden)
+    # Kernel coordinates are the exact product V_inv @ x of a kernel_mod basis.
+    for name in ("solve_mod", "kernel_mod", "_exact_product", "smith_quotient"):
+        monkeypatch.setattr(cochain, name, forbidden)
     rng = random.Random(3)
     for coh in groups:
         state = {name: getattr(coh, name) for name in getattr(coh, "__slots__", ())}

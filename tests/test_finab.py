@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gerbes.errors import InputError
-from gerbes.finab import FinAb, QmodZ, abelian_structure
-from gerbes.groups import abelian_table_group, cyclic_group, direct_product
+from gerbes.finab import FinAb, QmodZ
+from gerbes.groups import abelian_structure, abelian_table_group, cyclic_group, direct_product
 
 fractions = st.builds(
     QmodZ.make,
@@ -60,14 +60,14 @@ def test_qmodz_parse_and_str():
 )
 def test_abelian_structure_recovers_factors(factors):
     group = abelian_table_group(FinAb(factors))
-    res = abelian_structure(group.table)
-    assert res.group.factors == factors
+    res = abelian_structure(group)
+    assert res.target.factors == factors
 
 
 def test_abelian_structure_on_scrambled_product():
     g = direct_product(cyclic_group(6), cyclic_group(2))
-    res = abelian_structure(g.table)
-    assert res.group.factors == (2, 6)
+    res = abelian_structure(g)
+    assert res.target.factors == (2, 6)
     for x in range(g.order):
         for y in range(g.order):
-            assert res.coords[g.table[x][y]] == res.group.add(res.coords[x], res.coords[y])
+            assert res.coords[g.table[x][y]] == res.target.add(res.coords[x], res.coords[y])

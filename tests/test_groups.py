@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from gerbes import groups
 from gerbes.errors import (
     ClosureExceedsBound,
+    GerbesError,
     InputError,
     InvalidHomomorphism,
     InvalidSubgroup,
@@ -14,6 +19,7 @@ from gerbes.groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    abelian_structure,
     abelianization,
     alternating_group,
     build_group,
@@ -171,6 +177,42 @@ def test_abelianization_order_agreement():
         assert ab.target.order * comm.order == g.order
 
 
+def test_abelianization_coordinates_are_pinned():
+    """The invariant factors, the coordinates of every element and the
+    generator preimages of H^ab, which every gerbe command starts from."""
+    c2, c6 = cyclic_group(2), cyclic_group(6)
+    family = [
+        cyclic_group(12),
+        direct_product(cyclic_group(4), c6),
+        direct_product(direct_product(c2, c2), c2),
+        direct_product(c6, c2),
+        symmetric_group(3),
+        dihedral_group(4),
+        dihedral_group(6),
+        quaternion_group(),
+        alternating_group(4),
+        symmetric_group(4),
+        alternating_group(5),
+        sl2_f5(),
+    ]
+    digest = hashlib.sha256()
+    for g in family:
+        ab = abelianization(g)
+        digest.update(repr((ab.target.factors, ab.coords, ab.generator_preimages)).encode())
+    assert digest.hexdigest() == "b001b63a701d3c4a6ca1d7163357bb95482b364cfd8c3afb2de4606096732f69"
+
+
+def test_abelian_structure_check_catches_a_corrupted_coordinate():
+    g = direct_product(cyclic_group(4), cyclic_group(6))
+    res = abelian_structure(g)
+    groups._check_abelian_structure(res)
+    for x in range(g.order):
+        coords = list(res.coords)
+        coords[x] = ((coords[x][0] + 1) % res.target.factors[0], *coords[x][1:])
+        with pytest.raises(GerbesError):
+            groups._check_abelian_structure(dataclasses.replace(res, coords=tuple(coords)))
+
+
 def test_cyclic_subgroups_examples():
     z4 = cyclic_group(4)
     subs = cyclic_subgroups(z4)
@@ -232,7 +274,7 @@ def test_non_integer_inputs_are_refused_not_truncated():
     integers and integers past int64 take the same paths as Python ints."""
     from gerbes.document import parse_document
     from gerbes.finab import FinAb, QmodZ
-    from gerbes.modules import cyclic_module, trivial_module
+    from gerbes.modules import GModule, cyclic_module, trivial_module
 
     c2, c4 = cyclic_group(2), cyclic_group(4)
     probes = [
@@ -267,6 +309,11 @@ def test_non_integer_inputs_are_refused_not_truncated():
         lambda: Subgroup(c4, 3),
         lambda: FinAb(4),
         lambda: FiniteGroup(np.array([0])),
+        lambda: FiniteGroup(5),
+        lambda: GroupHom(c4, c4, 5),
+        lambda: GModule(c4, FinAb((4,)), 5),
+        lambda: from_permutations(5),
+        lambda: cyclic_module(c4, 4, [1, 3, 1, 3]),
     ]
     for i, probe in enumerate(probes):
         with pytest.raises(InputError):
