@@ -1,10 +1,12 @@
 """Normalized bar-resolution cochains, cohomology, cup products, solvers.
 
 A degree-n cochain stores one int64 row per n-tuple of non-identity group
-elements (value zero whenever an argument is the identity), indexed
-lexicographically, in one read-only (q^n, rank) array whose entry i of each
-row is reduced mod the carrier factor d_i.  The differential is the
-inhomogeneous bar formula
+elements (value zero whenever an argument is the identity), in one read-only
+(q^n, rank) array whose entry i of each row is reduced mod the carrier
+factor d_i.  The slot of (g_1, ..., g_n) is the C-order multi-index of
+(g_1 - 1, ..., g_n - 1) over (q,) * n, so the slots run lexicographically;
+it is read and written only through numpy's ``unravel_index`` and
+``ravel_multi_index``.  The differential is the inhomogeneous bar formula
 
     (dc)(g_1,...,g_{n+1}) = g_1.c(g_2,...,g_{n+1})
                             + sum_i (-1)^i c(..., g_i g_{i+1}, ...)
@@ -53,6 +55,7 @@ from .errors import (
     NotACocycle,
     SizeBound,
 )
+from .finab import integer_tuple
 from .groups import Subgroup, memo
 from .linalg import (
     Congruence,
@@ -92,6 +95,7 @@ class Cochain:
     __slots__ = ("module", "degree", "array")
 
     def __init__(self, module: GModule, degree: int, values: Sequence[Sequence[int]] | np.ndarray) -> None:
+        (degree,) = integer_tuple((degree,), "cochain degrees")
         if not 0 <= degree <= MAX_DEGREE:
             raise DegreeTooHigh(f"cochain degree {degree} outside 0..{MAX_DEGREE}")
         slots = (module.group.order - 1) ** degree
@@ -183,23 +187,6 @@ class _DiffPlan:
     last_idx: np.ndarray
 
 
-def _digits(ranks: np.ndarray, positions: int, q: int) -> np.ndarray:
-    """Digit array (len(ranks) x positions) of tuple ranks, digits in 1..q."""
-    idx = np.array(ranks, dtype=np.int64)
-    out = np.empty((len(idx), positions), dtype=np.int64)
-    for p in range(positions - 1, -1, -1):
-        out[:, p] = idx % q + 1
-        idx //= q
-    return out
-
-
-def _rank_of_digits(dig: np.ndarray, q: int) -> np.ndarray:
-    out = np.zeros(dig.shape[0], dtype=np.int64)
-    for p in range(dig.shape[1]):
-        out = out * q + (dig[:, p] - 1)
-    return out
-
-
 def _slot_set(module: GModule, degree: int, rows: str) -> np.ndarray:
     """The sorted output slots of d_degree that ``rows`` names.
 
@@ -215,8 +202,9 @@ def _slot_set(module: GModule, degree: int, rows: str) -> np.ndarray:
         return _generator_slots(module, degree)
     gens, steps = module.group.tree
     tree = {(x, gens[i]) for _, x, i in steps}
-    off = [(x - 1) * q + s - 1 for x in range(1, q + 1) for s in gens if (x, s) not in tree]
-    return (np.arange(q ** (degree - 1))[:, None] * q * q + np.asarray(off, dtype=np.int64)).ravel()
+    off = np.array([(x - 1, s - 1) for x in range(1, q + 1) for s in gens if (x, s) not in tree], dtype=np.int64)
+    head = np.arange(q ** (degree - 1))[:, None]  # the first degree - 1 arguments, as one digit
+    return np.ravel_multi_index((head, *off.reshape(-1, 2).T), (len(head), q, q)).ravel()
 
 
 def _diff_plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
@@ -228,20 +216,20 @@ def _diff_plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
             f"d_{n} over a group of order {q + 1} has {len(slots)} {rows} output slots, "
             f"past the plan bound of {_PLAN_SLOT_BOUND} slots"
         )
-    mt = np.asarray(module.group.table, dtype=np.int64)
-    dig = _digits(slots, n + 1, q)
+    # Digit j of a slot is g_{j+1} - 1, and ``product`` multiplies digits:
+    # -1 where the product is the identity.
+    product = np.asarray(module.group.table, dtype=np.int64)[1:, 1:] - 1
+    args = np.unravel_index(slots, (q,) * (n + 1))
+    dims = (q,) * n
     middle = []
-    sentinel = q**n  # the extra zero row of the padded input
     for i in range(1, n + 1):
-        merged = mt[dig[:, i - 1], dig[:, i]]
-        cols = [dig[:, j] for j in range(i - 1)] + [merged] + [dig[:, j] for j in range(i + 1, n + 1)]
-        killed = merged == 0
-        safe = np.stack(cols, axis=1)
-        safe[killed] = 1
-        idx = _rank_of_digits(safe, q)
-        idx[killed] = sentinel
+        merged = product[args[i - 1], args[i]]
+        # "clip" reads a -1 digit as 0; that term then reads the zero row q^n.
+        idx = np.ravel_multi_index((*args[: i - 1], merged, *args[i + 1 :]), dims, mode="clip")
+        idx[merged < 0] = q**n
         middle.append(((-1) ** i, idx))
-    return _DiffPlan(n, slots, tuple(middle), (-1) ** (n + 1), _rank_of_digits(dig[:, :n], q))
+    last = np.ravel_multi_index(args[:n], dims) if n else np.zeros_like(slots)
+    return _DiffPlan(n, slots, tuple(middle), (-1) ** (n + 1), last)
 
 
 def _plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
@@ -293,18 +281,17 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def _restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
-    group, embed = sub.as_group()
-    q = group.order - 1
-    local = _digits(np.arange(q**degree), degree, q)
-    return _rank_of_digits(np.asarray(embed, dtype=np.int64)[local], sub.parent.order - 1)
+    digits = np.asarray(sub.elements[1:], dtype=np.int64) - 1
+    return np.ravel_multi_index(np.ix_(*(digits,) * degree), (sub.parent.order - 1,) * degree).ravel()
 
 
 def restriction_slots(sub: Subgroup, degree: int) -> np.ndarray:
     """For each slot of a degree-n cochain on the subgroup, its slot on the parent.
 
     Local slot (a_1, ..., a_n) is parent slot (embed[a_1], ..., embed[a_n]),
-    so restriction is a gather through this map and pulling a row vector
-    back from the subgroup is a scatter through it.
+    for the embedding ``embed = sub.elements`` of ``Subgroup.as_group``, so
+    restriction is a gather through this map and pulling a row vector back
+    from the subgroup is a scatter through it.
     """
     return memo(sub.parent, (sub.elements, degree), _restriction_slots, sub, degree)
 
@@ -387,7 +374,8 @@ def _generator_slots(module: GModule, degree: int) -> np.ndarray:
     """
     block = (module.group.order - 1) ** degree
     gens = np.asarray(module.group.tree[0], dtype=np.int64)
-    return ((gens[:, None] - 1) * block + np.arange(block)).ravel()
+    # The last ``degree`` arguments run over all of their block, as one digit.
+    return np.ravel_multi_index((gens[:, None] - 1, np.arange(block)), (module.group.order - 1, block)).ravel()
 
 
 def _differential_matrix(module: GModule, degree: int, rows: str = "all") -> np.ndarray:
@@ -570,6 +558,7 @@ class CohomologyGroup:
     __slots__ = ("module", "degree", "factors", "representatives", "classes")
 
     def __init__(self, module: GModule, degree: int) -> None:
+        (degree,) = integer_tuple((degree,), "cohomology degrees")
         if degree not in (0, 1, 2):
             raise DegreeTooHigh("cohomology is computed for degrees 0, 1, 2 only")
         self.module = module
@@ -697,6 +686,7 @@ class CohomologyGroup:
 
 def cohomology(module: GModule, degree: int) -> CohomologyGroup:
     """H^degree(G, M) for degree <= 2, cached on the module by degree."""
+    (degree,) = integer_tuple((degree,), "cohomology degrees")
     return memo(module, degree, CohomologyGroup, module, degree)
 
 

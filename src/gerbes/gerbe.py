@@ -143,12 +143,13 @@ def _factor_set_cochain(
     for g in range(quot.order):
         if ext.proj(s[g]) != g:
             raise InputError(f"set-section does not lift element {g}")
-    vals = []
-    for g1, g2 in itertools.product(range(1, quot.order), repeat=2):
-        prod = total.table[s[g1]][s[g2]]
-        f = total.table[prod][total.inv[s[quot.table[g1][g2]]]]
-        vals.append(ab.coords[ext.pull(f)])
-    e = Cochain(module, 2, vals)
+    table = total.table
+
+    def factor(g: tuple[int, ...]) -> tuple[int, ...]:
+        g1, g2 = g
+        return ab.coords[ext.pull(table[table[s[g1]][s[g2]]][total.inv[s[quot.table[g1][g2]]]])]
+
+    e = Cochain.from_function(module, 2, factor)
     if not is_cocycle(e):
         raise GerbesError("factor set does not satisfy the cocycle identity")
     return e
@@ -237,11 +238,11 @@ def extension_from_cocycle(z: Cochain) -> GerbeExtension:
     # The index of an element in ``FinAb.elements`` order, last coordinate fastest.
     radix = np.array([prod(d[i + 1 :]) for i in range(len(d))], dtype=np.int64)
     elements = np.array(list(module.carrier.elements()), dtype=np.int64)
-    n = module.group.order
+    q = module.group.order - 1
     action = (elements @ module.action.transpose(0, 2, 1) % np.asarray(d, dtype=np.int64) @ radix).tolist()
-    # z(g1, g2) is row (g1 - 1)(n - 1) + g2 - 1, and 0 (element 0) when g1 or g2 is 1.
-    slot = (z.array @ radix).tolist()
-    factor = [[slot[(g1 - 1) * (n - 1) + g2 - 1] if g1 and g2 else 0 for g2 in range(n)] for g1 in range(n)]
+    # The slots of z form the (q, q) block of the non-identity arguments; z is 0
+    # (element 0) when g1 or g2 is the identity.
+    factor = np.pad((z.array @ radix).reshape(q, q), ((1, 0), (1, 0))).tolist()
     kernel = abelian_table_group(module.carrier)
     return _crossed_product(kernel, module.group, action, factor, f"E({module.name or 'M'})")
 

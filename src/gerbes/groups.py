@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class FiniteGroup:
         table: Sequence[Sequence[int]],
         name: str | None = None,
     ) -> None:
-        if not hasattr(table, "__len__"):
+        if isinstance(table, Mapping) or not hasattr(table, "__len__"):
             raise InputError(f"a group table must be a list of rows, got {table!r}")
         n = len(table)
         if n == 0:
@@ -236,6 +236,7 @@ def from_permutations(
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
+    (n,) = integer_tuple((n,), "cyclic group orders")
     if n <= 0:
         raise InputError("cyclic group order must be positive")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -261,6 +262,7 @@ def klein_four_group() -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    (n,) = integer_tuple((n,), "symmetric group degrees")
     if n < 1:
         raise InputError("symmetric group degree must be >= 1")
     if n == 1:
@@ -272,6 +274,9 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    (n,) = integer_tuple((n,), "alternating group degrees")
+    if n < 1:
+        raise InputError("alternating group degree must be >= 1")
     if n < 3:
         return cyclic_group(1, name=f"A{n}")
     gens = [[1, 2, 0] + list(range(3, n))]
@@ -285,8 +290,13 @@ def alternating_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon)."""
+    (n,) = integer_tuple((n,), "dihedral parameters")
     if n < 1:
         raise InputError("dihedral parameter must be >= 1")
+    if n <= 2:
+        # The action on n vertices is not faithful here; inversion is trivial
+        # on C_n, so the semidirect product C_n x| C_2 is direct.
+        return direct_product(cyclic_group(n), cyclic_group(2), name=f"D{n}")
     rot = [(i + 1) % n for i in range(n)]
     flip = [(n - i) % n for i in range(n)]
     return from_permutations([rot, flip], max_order=2 * n, name=f"D{n}")
@@ -377,7 +387,9 @@ class Subgroup:
 
     @staticmethod
     def generated_by(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-        gens = list(gens)
+        gens = integer_tuple(gens, "subgroup generators")
+        if not all(0 <= g < parent.order for g in gens):
+            raise InputError(f"subgroup generators must lie in 0..{parent.order - 1}, got {list(gens)}")
         seen = {0}
         frontier = [0]
         while frontier:

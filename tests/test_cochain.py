@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -229,6 +230,49 @@ def test_restriction_examples():
     assert triv_res.is_zero()
     whole = restriction(gen, Subgroup.whole(z4))
     assert whole.values == gen.values
+
+
+def test_restriction_is_the_cochain_at_the_embedded_arguments():
+    """restriction(z, sub) at local arguments (a_1, ..., a_n) is z at
+    (embed[a_1], ..., embed[a_n]), embed = sub.elements, on seeded random
+    cochains; both sides are read by plain enumeration of argument tuples."""
+    from gerbes.fixtures import oracle_groups
+
+    rng = random.Random(2025)
+    for _, group in oracle_groups():
+        module = trivial_module(group, (2, 4))
+        subgroups = [Subgroup.generated_by(group, [x]) for x in range(1, group.order)]
+        for sub in subgroups + [Subgroup.trivial(group), Subgroup.whole(group)]:
+            for n in range(4):
+                z = Cochain.random(module, n, rng)
+                at = dict(zip(itertools.product(range(1, group.order), repeat=n), z.values))
+                local = itertools.product(range(1, sub.order), repeat=n)
+                want = tuple(at[tuple(sub.elements[a] for a in args)] for args in local)
+                assert restriction(z, sub).values == want, (group, sub.elements, n)
+
+
+def test_degrees_are_integers():
+    """A float or bool degree is refused, also when the integer degree is
+    cached; an integer degree out of range is DegreeTooHigh."""
+    from gerbes.cochain import CohomologyGroup
+
+    m = trivial_module(cyclic_group(4), (2,))
+    cohomology(m, 2)
+    for probe in (
+        lambda: Cochain(m, 1.0, [(0,)] * 3),
+        lambda: Cochain(m, True, [(0,)] * 3),
+        lambda: cohomology(m, 2.0),
+        lambda: cohomology(m, True),
+        lambda: CohomologyGroup(m, 2.0),
+    ):
+        with pytest.raises(InputError, match="degrees must be integers"):
+            probe()
+    with pytest.raises(DegreeTooHigh):
+        Cochain(m, 4, [(0,)] * 81)
+    with pytest.raises(DegreeTooHigh):
+        cohomology(m, 3)
+    assert Cochain(m, np.int64(1), [(1,)] * 3).degree == 1
+    assert cohomology(m, np.int64(2)) is cohomology(m, 2)
 
 
 def test_cup_examples():

@@ -268,6 +268,20 @@ def test_direct_product_and_named_groups():
     assert g.order == 6 and g.is_abelian
 
 
+def test_dihedral_group_has_order_2n():
+    """D1 = C2 and D2 = C2 x C2, where the action on n vertices is not
+    faithful; the tables from n = 3 on are pinned (digest recorded when every
+    n took the vertex action)."""
+    for n in range(1, 7):
+        d = dihedral_group(n)
+        assert d.order == 2 * n and d.name == f"D{n}"
+        assert d.is_abelian == (n <= 2)
+    d2 = dihedral_group(2)
+    assert max(map(d2.element_order, range(4))) == 2  # not cyclic
+    tables = repr([dihedral_group(n).table for n in range(3, 11)]).encode()
+    assert hashlib.sha256(tables).hexdigest() == "25d486169a12904731a83bf8755cb9f699578c822728e6a23445c06aedcd729a"
+
+
 def test_non_integer_inputs_are_refused_not_truncated():
     """Floats, bools, strings and None are refused wherever the group layer
     takes integers, and so are shapes that are not lists of them; numpy
@@ -314,6 +328,17 @@ def test_non_integer_inputs_are_refused_not_truncated():
         lambda: GModule(c4, FinAb((4,)), 5),
         lambda: from_permutations(5),
         lambda: cyclic_module(c4, 4, [1, 3, 1, 3]),
+        lambda: cyclic_group(2.5),
+        lambda: cyclic_group(True),
+        lambda: symmetric_group(2.5),
+        lambda: alternating_group(2.5),
+        lambda: alternating_group(-3),
+        lambda: dihedral_group("3"),
+        lambda: Subgroup.generated_by(c4, [1.5]),
+        lambda: Subgroup.generated_by(c4, 5),
+        lambda: Subgroup.generated_by(c4, [7]),
+        lambda: Subgroup.generated_by(c4, [-1]),
+        lambda: FiniteGroup({0: [0]}),
     ]
     for i, probe in enumerate(probes):
         with pytest.raises(InputError):
