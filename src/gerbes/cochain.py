@@ -228,6 +228,7 @@ def _diff_plan(module: GModule, degree: int, rows: str) -> _DiffPlan:
         idx = np.ravel_multi_index((*args[: i - 1], merged, *args[i + 1 :]), dims, mode="clip")
         idx[merged < 0] = q**n
         middle.append(((-1) ** i, idx))
+    # In degree 0 the last term is c() at slot 0, and ravel_multi_index of no digits is one scalar.
     last = np.ravel_multi_index(args[:n], dims) if n else np.zeros_like(slots)
     return _DiffPlan(n, slots, tuple(middle), (-1) ** (n + 1), last)
 
