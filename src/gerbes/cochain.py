@@ -55,7 +55,7 @@ from .errors import (
     NotACocycle,
     SizeBound,
 )
-from .finab import integer_tuple
+from .finab import integer
 from .groups import Subgroup, memo
 from .linalg import (
     Congruence,
@@ -95,7 +95,7 @@ class Cochain:
     __slots__ = ("module", "degree", "array")
 
     def __init__(self, module: GModule, degree: int, values: Sequence[Sequence[int]] | np.ndarray) -> None:
-        (degree,) = integer_tuple((degree,), "cochain degrees")
+        degree = integer(degree, "cochain degrees")
         if not 0 <= degree <= MAX_DEGREE:
             raise DegreeTooHigh(f"cochain degree {degree} outside 0..{MAX_DEGREE}")
         slots = (module.group.order - 1) ** degree
@@ -559,7 +559,7 @@ class CohomologyGroup:
     __slots__ = ("module", "degree", "factors", "representatives", "classes")
 
     def __init__(self, module: GModule, degree: int) -> None:
-        (degree,) = integer_tuple((degree,), "cohomology degrees")
+        degree = integer(degree, "cohomology degrees")
         if degree not in (0, 1, 2):
             raise DegreeTooHigh("cohomology is computed for degrees 0, 1, 2 only")
         self.module = module
@@ -687,7 +687,7 @@ class CohomologyGroup:
 
 def cohomology(module: GModule, degree: int) -> CohomologyGroup:
     """H^degree(G, M) for degree <= 2, cached on the module by degree."""
-    (degree,) = integer_tuple((degree,), "cohomology degrees")
+    degree = integer(degree, "cohomology degrees")
     return memo(module, degree, CohomologyGroup, module, degree)
 
 

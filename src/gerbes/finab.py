@@ -51,6 +51,12 @@ def integer_tuple(values: Any, what: str) -> tuple[int, ...]:
     return tuple(integer_array(list(values), what).tolist())
 
 
+def integer(value: Any, what: str) -> int:
+    """One integer as a Python int: an int passes as it is (no array is built
+    on a hot constructor), anything else goes through ``integer_tuple``."""
+    return value if type(value) is int else integer_tuple((value,), what)[0]
+
+
 @dataclass(frozen=True)
 class FinAb:
     """Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... | d_k and every d_i >= 2.

@@ -25,7 +25,7 @@ from .errors import (
     NoInverse,
     NonAssociative,
 )
-from .finab import FinAb, integer_array, integer_tuple
+from .finab import FinAb, integer, integer_array, integer_tuple
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -236,7 +236,7 @@ def from_permutations(
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
-    (n,) = integer_tuple((n,), "cyclic group orders")
+    n = integer(n, "cyclic group orders")
     if n <= 0:
         raise InputError("cyclic group order must be positive")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -262,7 +262,7 @@ def klein_four_group() -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    (n,) = integer_tuple((n,), "symmetric group degrees")
+    n = integer(n, "symmetric group degrees")
     if n < 1:
         raise InputError("symmetric group degree must be >= 1")
     if n == 1:
@@ -274,7 +274,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
-    (n,) = integer_tuple((n,), "alternating group degrees")
+    n = integer(n, "alternating group degrees")
     if n < 1:
         raise InputError("alternating group degree must be >= 1")
     if n < 3:
@@ -290,7 +290,7 @@ def alternating_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon)."""
-    (n,) = integer_tuple((n,), "dihedral parameters")
+    n = integer(n, "dihedral parameters")
     if n < 1:
         raise InputError("dihedral parameter must be >= 1")
     if n <= 2:

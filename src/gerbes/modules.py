@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import GerbesError, InputError, NonCyclicCoefficients, NonEquivariantPairing, SizeBound
-from .finab import FinAb, integer_array, integer_tuple
+from .finab import FinAb, integer, integer_array, integer_tuple
 from .groups import Abelianization, FiniteGroup, Subgroup, abelianization, memo
 
 # The int64 arithmetic of ``cochain`` and ``linalg`` works on entries
@@ -140,7 +140,7 @@ def cyclic_module(
     name: str | None = None,
 ) -> GModule:
     """Z/modulus with each element g acting by the unit character[g]."""
-    (modulus,) = integer_tuple((modulus,), "cyclic module moduli")
+    modulus = integer(modulus, "cyclic module moduli")
     if modulus < 2:
         raise InputError("cyclic module modulus must be >= 2")
     if character is not None and not isinstance(character, Mapping):
